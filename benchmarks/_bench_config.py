@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md, per-experiment index E1..E7) and prints a paper-vs-measured
-report.  Heavy computations (full CAD flows) run once in module-scoped
-fixtures; the ``benchmark`` fixture then times a representative kernel of the
-experiment so ``pytest-benchmark`` output stays meaningful.
+(see the E1..E7 index in README.md; ARCHITECTURE.md maps the modules) and
+prints a paper-vs-measured report.  Heavy computations (full CAD flows) run
+once in module-scoped fixtures; the ``benchmark`` fixture then times a
+representative kernel of the experiment so ``pytest-benchmark`` output stays
+meaningful.
 
 Environment knobs
 -----------------

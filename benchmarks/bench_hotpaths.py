@@ -16,11 +16,15 @@ skips the slowest reference baselines so the nightly run stays bounded).
 Three comparisons are made:
 
 * **simulation** -- compiled engine vs legacy interpreter, bit-identical;
-* **placement** -- ``incremental`` vs ``reference`` (trajectory-identical)
-  and ``batched`` (PCG64 block randomness + O(1) window moves) vs
-  ``incremental`` at *matched quality*: the batched effort is chosen so its
-  mean HPWL across the seed sweep is within the quality band, and the
-  speedup is reported at that iso-quality point;
+* **placement** -- the production ``batched`` kernel (PCG64 block
+  randomness + O(1) window moves) vs the ``reference`` oracle at *matched
+  quality*: the batched effort is chosen so its mean HPWL across the seed
+  sweep is within the quality band of ``reference`` on the same seeds, and
+  the speedup is reported at that iso-quality point.  Every cost is checked
+  to be the exact-int HPWL of its placement, recomputed from scratch.  The
+  routing, route-only timing, resilience, native and obs sections run on
+  the seed-0 ``reference`` (oracle) placement, which the default flow does
+  not produce; it keeps their numbers comparable with earlier baselines;
 * **routing** -- the vectorized delta-stepping ``wavefront`` kernel (PR 3;
   opt-in since the crossover data below) and the directed incremental
   ``astar`` kernel (PR 2, the ``auto`` default) vs the PR 1
@@ -106,7 +110,7 @@ from repro.par.cache import PaRCache
 from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
-from repro.par.placement import place
+from repro.par.placement import hpwl, place
 from repro.par.routing import NetRoute, route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
@@ -119,14 +123,14 @@ SIM_PATTERNS = 1024
 SIM_REPEATS = 20
 SIM_REF_REPEATS = 5
 PLACE_SEEDS = [0, 1, 2, 3, 4]
-PLACE_EFFORT = 0.25          #: effort of the reference/incremental kernels
+PLACE_EFFORT = 0.25          #: effort of the reference kernel
 BATCHED_EFFORT = 0.1         #: iso-quality effort of the batched kernel
-PLACE_QUALITY_BAND = 1.02    #: batched mean HPWL must be <= band * incremental
+PLACE_QUALITY_BAND = 1.02    #: batched mean HPWL must be <= band * reference
 ROUTE_QUALITY_BAND = 1.05    #: astar wirelength must be <= band * reference
 WAVEFRONT_QUALITY_BAND = 1.02  #: wavefront wirelength must be <= band * reference
 ROUTE_SPEEDUP_FLOOR = 2.5    #: recorded astar-vs-fast floor (typical 2.5-3.4x)
 WAVEFRONT_SPEEDUP_FLOOR = 2.0  #: recorded wavefront-vs-astar target (see issue 3)
-PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-incremental iso-quality floor
+PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-reference iso-quality floor
 CHANNEL_WIDTH = 12           #: starting point of the routable-width search
 TIMING_DELAY_TARGET = 0.90   #: recorded flow-level delay-ratio target (>=10% better)
 TIMING_WL_BAND = 1.02        #: timing route wirelength vs reference, same placement
@@ -212,20 +216,15 @@ def bench_simulation(circuit):
 
 
 def bench_placement(netlist, arch):
-    seed0 = PLACE_SEEDS[0]
-    ref, ref_s = _timed(
-        lambda: place(netlist, arch, seed=seed0, effort=PLACE_EFFORT, kernel="reference")
-    )
-
-    inc_results, inc_times = [], []
+    ref_results, ref_times = [], []
     bat_results, bat_times = [], []
     for seed in PLACE_SEEDS:
         r, dt = _timed(
             lambda s=seed: place(netlist, arch, seed=s, effort=PLACE_EFFORT,
-                                 kernel="incremental")
+                                 kernel="reference")
         )
-        inc_results.append(r)
-        inc_times.append(dt)
+        ref_results.append(r)
+        ref_times.append(dt)
         r, dt = _timed(
             lambda s=seed: place(netlist, arch, seed=s, effort=BATCHED_EFFORT,
                                  kernel="batched")
@@ -233,23 +232,14 @@ def bench_placement(netlist, arch):
         bat_results.append(r)
         bat_times.append(dt)
 
-    fast = inc_results[0]
-    identical = (
-        fast.cost == ref.cost
-        and fast.moves_attempted == ref.moves_attempted
-        and fast.moves_accepted == ref.moves_accepted
-        and all(
-            fast.placement.block_site[b].as_tuple() == s.as_tuple()
-            for b, s in ref.placement.block_site.items()
-        )
-    )
     exact_ints = all(
-        isinstance(r.cost, int) for r in [ref, *inc_results, *bat_results]
+        isinstance(r.cost, int) and r.cost == hpwl(netlist, r.placement)
+        for r in [*ref_results, *bat_results]
     )
-    inc_hpwl = [r.cost for r in inc_results]
+    ref_hpwl = [r.cost for r in ref_results]
     bat_hpwl = [r.cost for r in bat_results]
-    hpwl_ratio = statistics.mean(bat_hpwl) / statistics.mean(inc_hpwl)
-    batched_speedup = sum(inc_times) / sum(bat_times)
+    hpwl_ratio = statistics.mean(bat_hpwl) / statistics.mean(ref_hpwl)
+    batched_speedup = sum(ref_times) / sum(bat_times)
     quality_ok = hpwl_ratio <= PLACE_QUALITY_BAND
 
     return {
@@ -258,20 +248,14 @@ def bench_placement(netlist, arch):
             f"{arch.width}x{arch.height}, seeds={PLACE_SEEDS}, "
             f"effort={PLACE_EFFORT} (batched iso-quality at {BATCHED_EFFORT})"
         ),
-        "reference_seconds": ref_s,
-        "fast_seconds": inc_times[0],
-        "speedup": ref_s / inc_times[0],
-        "hpwl_reference": ref.cost,
-        "hpwl_fast": fast.cost,
-        "identical_outputs": identical,
         "exact_int_hpwl": exact_ints,
         "batched": {
             "effort": BATCHED_EFFORT,
             "seconds_per_seed": bat_times,
-            "incremental_seconds_per_seed": inc_times,
-            "speedup_vs_incremental": batched_speedup,
+            "reference_seconds_per_seed": ref_times,
+            "speedup_vs_reference": batched_speedup,
             "hpwl_per_seed": bat_hpwl,
-            "incremental_hpwl_per_seed": inc_hpwl,
+            "reference_hpwl_per_seed": ref_hpwl,
             "mean_hpwl_ratio": hpwl_ratio,
             "quality_band": PLACE_QUALITY_BAND,
             "quality_ok": quality_ok,
@@ -279,8 +263,8 @@ def bench_placement(netlist, arch):
         # The exit-code gate is correctness/quality only; wall-clock floors
         # are recorded but machine-load dependent (see check_quality.py).
         "speedup_floor_met": batched_speedup >= PLACE_SPEEDUP_FLOOR,
-        "ok": identical and exact_ints and quality_ok,
-    }, fast.placement
+        "ok": exact_ints and quality_ok,
+    }, ref_results[0].placement
 
 
 def bench_routing(netlist, arch, placement):
@@ -1240,9 +1224,8 @@ def main() -> int:
         elif name == "placement":
             b = entry["batched"]
             print(
-                f"{name:11s} {flag} incremental speedup={entry['speedup']:5.2f}x; "
-                f"batched {b['speedup_vs_incremental']:5.2f}x at "
-                f"hpwl_ratio={b['mean_hpwl_ratio']:.4f}"
+                f"{name:11s} {flag} batched {b['speedup_vs_reference']:5.2f}x "
+                f"vs reference at hpwl_ratio={b['mean_hpwl_ratio']:.4f}"
             )
         else:
             print(

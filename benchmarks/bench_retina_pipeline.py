@@ -47,7 +47,7 @@ def test_pipeline_quality_and_stages(benchmark, fundus, reference_result):
         "E5 / Figure 5 -- Retinal vessel segmentation pipeline (reference backend)",
         "",
         f"image: synthetic fundus {fundus.shape[0]}x{fundus.shape[1]} "
-        f"(paper: fundus photographs; see DESIGN.md substitution table)",
+        f"(paper: fundus photographs; see README.md substitutions)",
         "",
         "stage runtimes:",
     ]

@@ -138,6 +138,18 @@ class SpecializedConfigurationGenerator:
                     continue
                 site = par_result.placement.placement.block_site[block.id]
                 self._node_site[block.mapped_node] = (site.x, site.y)
+        # A TCON's switches live next to the LUT(s) it feeds: its bits go to
+        # the tile of its first consumer, in node order, that has a placed
+        # site.  Fixed by the placement, so resolved once here.
+        tcons = set(self.ppc.tcon_nodes)
+        self._tcon_site: Dict[int, Tuple[int, int]] = {}
+        for nid, node in enumerate(network.nodes):
+            site = self._node_site.get(nid)
+            if site is None or node.kind not in (NodeKind.LUT, NodeKind.TLUT):
+                continue
+            for src in node.inputs:
+                if src in tcons:
+                    self._tcon_site.setdefault(src, site)
         self._previous: Optional[Bitstream] = None
 
     # -- specialization -----------------------------------------------------------
@@ -159,8 +171,6 @@ class SpecializedConfigurationGenerator:
                     continue
                 bitstream.set_lut_config(site[0], site[1], spec.lut_configs[nid].bits)
             for nid in self.ppc.tcon_nodes:
-                # A TCON's switches live next to the LUT(s) it feeds; attribute
-                # its bits to the tile of its first placed consumer.
                 site = self._consumer_site(nid)
                 if site is None:
                     continue
@@ -187,12 +197,7 @@ class SpecializedConfigurationGenerator:
 
     def _consumer_site(self, tcon_node: int) -> Optional[Tuple[int, int]]:
         """Tile of the first placed LUT that consumes a TCON's output."""
-        for nid, node in enumerate(self.network.nodes):
-            if node.kind in (NodeKind.LUT, NodeKind.TLUT) and tcon_node in node.inputs:
-                site = self._node_site.get(nid)
-                if site is not None:
-                    return site
-        return None
+        return self._tcon_site.get(tcon_node)
 
     # -- summary --------------------------------------------------------------------
 

@@ -35,6 +35,7 @@ clocks and appends to buffers but never touches RNG streams or FP math.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import os
@@ -330,6 +331,18 @@ def _bootstrap() -> None:
     path = os.environ.get("REPRO_TRACE")
     if path:
         _ACTIVE = Tracer(path)
+        atexit.register(_close_at_exit, _ACTIVE)
+
+
+def _close_at_exit(tracer: Tracer) -> None:
+    """Seal the environment tracer at interpreter exit (installing pid only).
+
+    Without this nothing writes the global counters or the Chrome closing
+    ``]``.  A forked child that runs exit handlers must not seal the
+    parent's file, so it skips the close.
+    """
+    if os.getpid() == tracer._install_pid:
+        tracer.close()
 
 
 def span(name: str, **args: Any) -> Union[_Span, _NullSpan]:

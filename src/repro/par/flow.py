@@ -233,7 +233,6 @@ def place_and_route(
     find_min_channel_width: bool = False,
     min_cw_bounds: tuple = (2, 32),
     seed: int = 0,
-    placement_kernel: Optional[str] = None,
     route_kernel: str = "auto",
     min_cw_route_kernel: str = "auto",
     workers: Optional[int] = None,
@@ -257,10 +256,6 @@ def place_and_route(
         the VPR auto-sizing with W = 10).
     placement_effort:
         Scales annealing effort; lower is faster but noisier.
-    placement_kernel:
-        Annealing kernel; default ``incremental`` under the wirelength
-        objective, ``batched`` under the timing objective (the only kernel
-        that accepts per-net weights).
     find_min_channel_width:
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
@@ -271,7 +266,8 @@ def place_and_route(
         non-convergent by construction, which is the scalar kernel's fast
         case -- see :func:`repro.par.metrics.minimum_channel_width`.
     objective:
-        ``"wirelength"`` (the seed behavior) or ``"timing"``: placement runs
+        ``"wirelength"`` (placement runs :func:`repro.par.placement.place`
+        with its native ``batched`` kernel) or ``"timing"``: placement runs
         :func:`timing_driven_placement` (criticality-weighted annealing,
         incremental-STA by default -- ``timing_placer`` selects the mode)
         and routing runs the VPR-style blended cost
@@ -296,8 +292,6 @@ def place_and_route(
     """
     if objective not in ("wirelength", "timing"):
         raise ValueError(f"unknown PAR objective {objective!r}")
-    if placement_kernel is None:
-        placement_kernel = "batched" if objective == "timing" else "incremental"
     netlist = from_mapped_network(network)
     num_logic = netlist.num_logic_blocks() + netlist.num_ff_blocks()
     num_ios = netlist.num_io_blocks()
@@ -307,7 +301,7 @@ def place_and_route(
     if cache is None:
         cache = PaRCache.from_env()
 
-    if objective == "timing" and placement_kernel == "batched":
+    if objective == "timing":
         placement = timing_driven_placement(
             netlist,
             arch,
@@ -323,7 +317,6 @@ def place_and_route(
             arch,
             seed=seed,
             effort=placement_effort,
-            kernel=placement_kernel,
         )
     events: List[Dict[str, Any]] = []
     routing = cached_route(

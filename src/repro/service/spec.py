@@ -44,8 +44,10 @@ __all__ = [
 ]
 
 #: Bump when the job payload format or the executor's semantics change in a
-#: way that makes an old journal/result table meaningless.
-SERVICE_VERSION = 1
+#: way that makes an old journal/result table meaningless.  A spec carries
+#: no placement kernel, so a change of the flow's default kernel is such a
+#: change: v2 is the first version placing with ``batched`` by default.
+SERVICE_VERSION = 2
 
 
 def canonical_dumps(obj: Any) -> str:

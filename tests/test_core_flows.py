@@ -19,6 +19,7 @@ from repro.flopoco.format import FPFormat
 from repro.par.flow import place_and_route
 from repro.synth.optimize import optimize
 from repro.techmap import map_parameterized
+from repro.techmap.mapping import NodeKind
 
 TINY = FPFormat(we=4, wf=4)
 SMALL = FPFormat(we=4, wf=6)
@@ -90,6 +91,18 @@ class TestPEFlows:
         assert out_p["done"][0] == 1
 
 
+class _ScanSCG(SpecializedConfigurationGenerator):
+    """Oracle: the original linear scan over every mapped node per TCON."""
+
+    def _consumer_site(self, tcon_node):
+        for nid, node in enumerate(self.network.nodes):
+            if node.kind in (NodeKind.LUT, NodeKind.TLUT) and tcon_node in node.inputs:
+                site = self._node_site.get(nid)
+                if site is not None:
+                    return site
+        return None
+
+
 class TestSpecializationGenerator:
     @pytest.fixture(scope="class")
     def generator(self):
@@ -130,6 +143,22 @@ class TestSpecializationGenerator:
             changed.bitstream.configured_tiles()
         )
         assert 1 <= changed.num_frames <= len(full_footprint)
+
+    def test_tcon_sites_match_linear_scan(self, generator):
+        spec, scg = generator
+        fmt = spec.fmt
+        fast = SpecializedConfigurationGenerator(scg.network, scg.par)
+        oracle = _ScanSCG(scg.network, scg.par)
+        for value, op in [(0.5, PEOp.MAC), (-1.75, PEOp.MAC), (3.0, PEOp.MAC),
+                          (0.125, PEOp.MAC), (-0.5, PEOp.MAC), (1.5, PEOp.MAC),
+                          (0.5, PEOp.MUL), (0.5, PEOp.MAC)]:
+            params = {"coeff": fmt.encode(value), "sel_a": 0, "sel_b": 1,
+                      "op": op, "count_limit": 2}
+            got, want = fast.specialize(params), oracle.specialize(params)
+            assert want.bitstream.routing_configs
+            assert got.bitstream.lut_configs == want.bitstream.lut_configs
+            assert got.bitstream.routing_configs == want.bitstream.routing_configs
+            assert got.frames_touched == want.frames_touched
 
     def test_identical_parameters_touch_no_frames(self, generator):
         spec, scg = generator

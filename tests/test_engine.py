@@ -26,7 +26,7 @@ from repro.netlist.simulate import (
     simulate_words,
 )
 from repro.par.netlist import from_mapped_network
-from repro.par.placement import place
+from repro.par.placement import hpwl, place
 from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
@@ -179,9 +179,22 @@ def _mapped_adder(width=6, param=False):
     return map_parameterized(opt) if param else map_conventional(opt)
 
 
+def _assert_batched_oracle(netlist, arch, result):
+    """Independent checks of a batched placement: exact HPWL from scratch,
+    every block on a site of its kind, one block per site."""
+    assert result.cost == hpwl(netlist, result.placement)
+    logic = {s.as_tuple() for s in arch.clb_sites()}
+    io = {s.as_tuple() for s in arch.io_sites()}
+    sites = result.placement.block_site
+    assert set(sites) == {b.id for b in netlist.blocks}
+    for block in netlist.blocks:
+        assert sites[block.id].as_tuple() in (io if block.kind == "io" else logic)
+    assert len({s.as_tuple() for s in sites.values()}) == len(sites)
+
+
 class TestKernelReproducibility:
     @pytest.mark.parametrize("seed,param", [(0, False), (7, True)])
-    def test_placement_kernels_identical_for_fixed_seed(self, seed, param):
+    def test_batched_oracle_checks(self, seed, param):
         network = _mapped_adder(6, param=param)
         netlist = from_mapped_network(network)
         arch = auto_size(
@@ -189,19 +202,12 @@ class TestKernelReproducibility:
             netlist.num_io_blocks(),
             channel_width=8,
         )
-        ref = place(netlist, arch, seed=seed, effort=0.4, kernel="reference")
-        new = place(netlist, arch, seed=seed, effort=0.4, kernel="incremental")
-        assert new.cost == ref.cost
-        assert new.initial_cost == ref.initial_cost
-        assert new.moves_attempted == ref.moves_attempted
-        assert new.moves_accepted == ref.moves_accepted
-        assert new.temperature_steps == ref.temperature_steps
-        for bid, site in ref.placement.block_site.items():
-            assert new.placement.block_site[bid].as_tuple() == site.as_tuple()
+        result = place(netlist, arch, seed=seed, effort=0.4, kernel="batched")
+        _assert_batched_oracle(netlist, arch, result)
 
-    def test_placement_kernels_identical_with_duplicate_net_pins(self):
-        # PhysicalNetlist permits a repeated sink; the incremental kernel
-        # must dedup pins or its bbox boundary counts go stale.
+    def test_batched_oracle_checks_duplicate_net_pins(self):
+        # PhysicalNetlist permits a repeated sink; the batched kernel must
+        # dedup pins or its bbox boundary counts go stale.
         from repro.par.netlist import PhysicalNetlist
 
         nl = PhysicalNetlist("dup")
@@ -215,12 +221,8 @@ class TestKernelReproducibility:
         nl.validate()
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=4)
         for seed in (0, 1, 5):
-            ref = place(nl, arch, seed=seed, kernel="reference")
-            new = place(nl, arch, seed=seed, kernel="incremental")
-            assert new.cost == ref.cost
-            assert new.moves_accepted == ref.moves_accepted
-            for bid, site in ref.placement.block_site.items():
-                assert new.placement.block_site[bid].as_tuple() == site.as_tuple()
+            result = place(nl, arch, seed=seed, kernel="batched")
+            _assert_batched_oracle(nl, arch, result)
 
     def test_placement_is_seed_reproducible(self):
         network = _mapped_adder(4)

@@ -346,7 +346,7 @@ class TestIncrementalPlacer:
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
         tc = TimingCost([0], [1], lambda x, y: [0.5])
         with pytest.raises(ValueError, match="batched"):
-            place(nl, arch, kernel="incremental", timing=tc)
+            place(nl, arch, kernel="reference", timing=tc)
         with pytest.raises(ValueError, match="exclusive"):
             place(
                 nl, arch, kernel="batched", timing=tc,

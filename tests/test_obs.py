@@ -124,6 +124,39 @@ class TestSpanMachinery:
         names = {e["name"] for e in data}
         assert {"a", "b", "curve"} <= names
 
+    def test_env_tracer_is_sealed_at_exit(self, tmp_path):
+        """The documented ``REPRO_TRACE=trace.json`` recipe yields valid JSON
+        with the global counters, though nothing calls ``clear()``."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "from repro.netlist.hdl import Design\n"
+            "from repro.par.flow import place_and_route\n"
+            "from repro.synth.optimize import optimize\n"
+            "from repro.techmap import map_conventional\n"
+            "d = Design('adder')\n"
+            "s, co = d.adder(d.input_bus('a', 3), d.input_bus('b', 3))\n"
+            "d.output_bus('s', s)\n"
+            "d.output_bit('cout', co)\n"
+            "opt, _ = optimize(d.circuit)\n"
+            "place_and_route(map_conventional(opt), placement_effort=0.2,"
+            " router_iterations=8)\n"
+        )
+        path = tmp_path / "trace.json"
+        env = dict(os.environ, REPRO_TRACE=str(path))
+        env.pop("REPRO_PAR_CACHE", None)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, timeout=300,
+        )
+        data = json.loads(path.read_text())
+        counters = {e["name"] for e in data if e["ph"] == "C"}
+        assert "place.calls" in counters
+        assert any(e["ph"] == "X" and e["name"] == "par.flow" for e in data)
+
     def test_traced_decorator_binds_per_call(self, tmp_path):
         @traced("deco.fn")
         def fn(x):
@@ -224,7 +257,7 @@ class TestTrajectoryNeutrality:
     def test_place_bit_identical_with_tracing(self, tmp_path, seed):
         nl = adder_netlist(4)
         arch = sized_arch(nl)
-        for kernel in ("incremental", "batched"):
+        for kernel in ("reference", "batched"):
             off = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
             with tracing(str(tmp_path / f"p{kernel}{seed}.jsonl")):
                 on = place(nl, arch, seed=seed, effort=0.4, kernel=kernel)
@@ -270,7 +303,7 @@ class TestTelemetry:
         arch = sized_arch(nl)
         result = place(nl, arch, seed=0, effort=0.4)
         t = result.telemetry
-        assert t is not None and t["kernel"] == "incremental"
+        assert t is not None and t["kernel"] == "batched"
         steps = result.temperature_steps
         assert len(t["temperature"]) == steps
         assert len(t["cost"]) == steps
@@ -300,7 +333,7 @@ class TestTelemetry:
         t = par.telemetry
         assert t is not None
         assert t["route"]["kernel"] == par.routing.kernel
-        assert t["place"]["kernel"] == "incremental"
+        assert t["place"]["kernel"] == "batched"
         assert t["cache"]["misses"] >= 1 and t["cache"]["hits"] == 0
         summary = par.summary()
         assert summary["cache_misses"] >= 1

@@ -230,17 +230,23 @@ class TestDirectedRoutingKernel:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
         device = build_device(arch)
-        placement = place(nl, arch, seed=2, effort=0.4).placement
-        ref = route(nl, placement, device, kernel="reference")
-        fast = route(nl, placement, device, kernel="astar")
-        assert fast.success == ref.success
-        assert fast.overused_nodes == 0
-        # The directed kernel is re-baselined, not bit-checked: its
-        # wirelength must stay within 5% of the reference route.
-        assert fast.wirelength <= 1.05 * ref.wirelength
-        assert set(fast.routes) == {n.id for n in nl.nets}
-        occ = channel_occupancy(fast, device)
-        assert occ["peak"] <= arch.channel_width
+        ref_wl, fast_wl = [], []
+        for seed in range(8):
+            placement = place(nl, arch, seed=seed, effort=0.4).placement
+            ref = route(nl, placement, device, kernel="reference")
+            fast = route(nl, placement, device, kernel="astar")
+            assert fast.success == ref.success, seed
+            assert fast.overused_nodes == 0, seed
+            assert set(fast.routes) == {n.id for n in nl.nets}
+            occ = channel_occupancy(fast, device)
+            assert occ["peak"] <= arch.channel_width, seed
+            ref_wl.append(ref.wirelength)
+            fast_wl.append(fast.wirelength)
+        # The directed kernel is re-baselined, not bit-checked: over the
+        # default placer's seeds its mean wirelength must stay within 5% of
+        # the reference route's.
+        ratio = statistics.mean(fast_wl) / statistics.mean(ref_wl)
+        assert ratio <= 1.05, f"astar mean wirelength {ratio:.3f}x of reference"
 
     def test_astar_routes_are_connected_trees(self):
         # Every net's route must contain its source and all sink nodes, and
@@ -370,17 +376,23 @@ class TestWavefrontRoutingKernel:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
         device = build_device(arch)
-        placement = place(nl, arch, seed=2, effort=0.4).placement
-        ref = route(nl, placement, device, kernel="reference")
-        wave = route(nl, placement, device, kernel="wavefront")
-        assert wave.success == ref.success
-        assert wave.overused_nodes == 0
-        # Re-baselined, not bit-checked: the vectorized kernel's wirelength
-        # must stay within the issue's 2% band of the reference route.
-        assert wave.wirelength <= 1.02 * ref.wirelength
-        assert set(wave.routes) == {n.id for n in nl.nets}
-        occ = channel_occupancy(wave, device)
-        assert occ["peak"] <= arch.channel_width
+        ref_wl, wave_wl = [], []
+        for seed in range(8):
+            placement = place(nl, arch, seed=seed, effort=0.4).placement
+            ref = route(nl, placement, device, kernel="reference")
+            wave = route(nl, placement, device, kernel="wavefront")
+            assert wave.success == ref.success, seed
+            assert wave.overused_nodes == 0, seed
+            assert set(wave.routes) == {n.id for n in nl.nets}
+            occ = channel_occupancy(wave, device)
+            assert occ["peak"] <= arch.channel_width, seed
+            ref_wl.append(ref.wirelength)
+            wave_wl.append(wave.wirelength)
+        # Re-baselined, not bit-checked: over the default placer's seeds the
+        # vectorized kernel's mean wirelength must stay within 2% of the
+        # reference route's.
+        ratio = statistics.mean(wave_wl) / statistics.mean(ref_wl)
+        assert ratio <= 1.02, f"wavefront mean wirelength {ratio:.3f}x of reference"
 
     def test_wavefront_routes_are_connected_trees(self):
         nl = chain_netlist(8)
@@ -449,22 +461,29 @@ class TestBatchedPlacementKernel:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
         seeds = range(5)
-        inc = [place(nl, arch, seed=s, effort=0.5, kernel="incremental").cost
+        ref = [place(nl, arch, seed=s, effort=0.5, kernel="reference").cost
                for s in seeds]
         bat = [place(nl, arch, seed=s, effort=0.5, kernel="batched").cost
                for s in seeds]
-        ratio = statistics.mean(bat) / statistics.mean(inc)
-        assert ratio <= 1.02, f"batched mean HPWL {ratio:.3f}x of incremental"
+        ratio = statistics.mean(bat) / statistics.mean(ref)
+        assert ratio <= 1.02, f"batched mean HPWL {ratio:.3f}x of reference"
 
     def test_batched_cost_is_exact_int_hpwl(self):
         nl = chain_netlist(10)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        for kernel in ("reference", "incremental", "batched"):
+        for kernel in ("reference", "batched"):
             result = place(nl, arch, seed=1, effort=0.5, kernel=kernel)
             assert isinstance(result.cost, int), kernel
             assert isinstance(result.initial_cost, int), kernel
             assert result.cost == hpwl(nl, result.placement), kernel
         assert isinstance(hpwl(nl, result.placement), int)
+
+    def test_unknown_kernel_rejected(self):
+        nl = chain_netlist(4)
+        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
+        for kernel in ("incremental", "nope"):
+            with pytest.raises(ValueError, match="unknown placement kernel"):
+                place(nl, arch, kernel=kernel)
 
     def test_batched_is_seed_reproducible(self):
         nl = chain_netlist(8)

@@ -532,6 +532,41 @@ class TestDaemonExecution:
             third_life.result(key)["result"]["digest"] == direct_tiny["digest"]
         )
 
+    def test_v1_completed_entry_does_not_answer_new_submission(
+        self, tmp_path, monkeypatch, direct_tiny
+    ):
+        # v1 journals were written under the old default placement kernel;
+        # a spec names no kernel, so only the version keeps them apart.
+        from repro.service import spec as spec_mod
+
+        spec = JobSpec(**TINY)
+        with monkeypatch.context() as m:
+            m.setattr(spec_mod, "SERVICE_VERSION", 1)
+            v1_key = spec.job_key()
+        assert v1_key != spec.job_key()
+        config = tiny_config(tmp_path)
+        JobJournal(config.journal_dir).record(
+            entry(v1_key, "completed", result={"digest": "v1", "wirelength": 0})
+        )
+        daemon = ServiceDaemon(config)
+
+        async def scenario():
+            replay = await daemon.start()
+            try:
+                assert replay["completed"] == 1
+                response = await daemon.submit(dict(TINY))
+                assert await daemon.wait(response["job"], timeout=120)
+                return response
+            finally:
+                await daemon.stop()
+
+        response = run(scenario())
+        assert response["job"] == spec.job_key()
+        assert not response.get("coalesced")
+        result = daemon.result(response["job"])
+        assert result["ok"]
+        assert result["result"]["digest"] == direct_tiny["digest"]
+
     def test_per_job_deadline_fails_cleanly(self, tmp_path):
         daemon = ServiceDaemon(tiny_config(tmp_path, retry_attempts=2))
 

@@ -240,7 +240,7 @@ class TestTimingPlacement:
         nl = chain_netlist(6)
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         with pytest.raises(ValueError, match="batched"):
-            place(nl, arch, kernel="incremental", net_weights=[1.0] * len(nl.nets))
+            place(nl, arch, kernel="reference", net_weights=[1.0] * len(nl.nets))
 
     def test_weighted_placement_reports_unweighted_hpwl(self):
         nl = chain_netlist(10)
