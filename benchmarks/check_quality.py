@@ -4,23 +4,19 @@ Runs in the PR-time ``hotpath-bench`` job and in the nightly REPRO_FULL
 workflow (same gate, different benchmark scale).  Fails (exit 1) when the
 benchmark shows
 
-* routing non-convergence (the ``astar`` kernel -- the ``auto`` default --
-  or the opt-in ``wavefront`` kernel did not reach ``success``),
-* a quality regression beyond 10% -- wavefront or astar wirelength vs the
-  reference route, or batched-placement mean HPWL vs the ``reference``
+* routing non-convergence (the production ``astar`` kernel or the
+  ``fast`` oracle did not reach ``success``),
+* a quality regression beyond 10% -- astar wirelength vs the ``fast``
+  oracle's route, or batched-placement mean HPWL vs the ``reference``
   placer on the same seeds,
 * a broken exactness claim (compiled simulation vs interpreter not
-  bit-identical, the ``fast`` route kernel diverged from its reference, or
-  a ``reference``/``batched`` placement cost that is not the exact-int
-  HPWL of its placement),
+  bit-identical, or a ``reference``/``batched`` placement cost that is not
+  the exact-int HPWL of its placement),
 * a timing-subsystem failure: the ``objective="timing"`` runs did not
   converge, the timing flow's critical path regressed more than 10% over
-  the default flow's, its wirelength left the 10% band of the reference
-  route on its own placement, or the STA logic depth diverged from the
-  mapped network's,
-* an incremental-STA placer regression: its routed critical path must not
-  exceed the PR 4 candidate-anneal placer's (both deterministic for the
-  bench seed, so this gate carries no machine noise),
+  the default flow's, its wirelength left the 10% band of the ``fast``
+  oracle's route on its own placement, or the STA logic depth diverged
+  from the mapped network's,
 * a flat-forest retime failure: the flat path must stay bit-identical to
   the dict walk, and its steady-state speedup must hold at least 75% of
   the 3x target (>25% cost regression fails),
@@ -28,9 +24,6 @@ benchmark shows
   from a plain ``route`` call, or logged recovery/degradation events with
   no fault injected (zero events is the fault-free contract, see
   RESILIENCE.md),
-* a missing or non-convergent ``auto_crossover`` section, or measured
-  astar/wavefront ratios that contradict the fixed ``kernel="auto"``
-  alias (``AUTO_KERNEL = "astar"``),
 * a native-backend failure: compiled astar routes or annealer trajectories
   diverged from their Python twins (identity is the contract that keeps
   the cached artifacts backend-independent), or a compiled kernel measured
@@ -100,28 +93,18 @@ def check(report: dict) -> list:
         )
 
     routing = kernels.get("routing", {})
-    if not routing.get("success_wavefront", False):
-        problems.append(
-            "routing: wavefront kernel did not converge (success_wavefront false)"
-        )
     if not routing.get("success_astar", False):
         problems.append("routing: astar kernel did not converge (success_astar false)")
     if not routing.get("success_fast", False):
         problems.append("routing: fast kernel did not converge at the chosen width")
-    if not routing.get("identical_outputs", False):
-        problems.append("routing: fast kernel diverged from reference")
-    for key, label in (
-        ("astar_wirelength_ratio", "astar"),
-        ("wavefront_wirelength_ratio", "wavefront"),
-    ):
-        wl_ratio = routing.get(key)
-        if wl_ratio is None:
-            problems.append(f"routing: {label} wirelength ratio missing")
-        elif wl_ratio > REGRESSION_BAND:
-            problems.append(
-                f"routing: {label} wirelength {wl_ratio:.3f}x of baseline "
-                f"(> {REGRESSION_BAND}x)"
-            )
+    wl_ratio = routing.get("astar_wirelength_ratio")
+    if wl_ratio is None:
+        problems.append("routing: astar wirelength ratio missing")
+    elif wl_ratio > REGRESSION_BAND:
+        problems.append(
+            f"routing: astar wirelength {wl_ratio:.3f}x of baseline "
+            f"(> {REGRESSION_BAND}x)"
+        )
 
     timing = kernels.get("timing", {})
     if not timing:
@@ -148,16 +131,8 @@ def check(report: dict) -> list:
             problems.append("timing: wirelength band ratio missing")
         elif band > REGRESSION_BAND:
             problems.append(
-                f"timing: timing-route wirelength {band:.3f}x of the reference "
-                f"route (> {REGRESSION_BAND}x)"
-            )
-        placer_ratio = timing.get("placer_cp_ratio")
-        if placer_ratio is None:
-            problems.append("timing: incremental-vs-candidates placer ratio missing")
-        elif placer_ratio > 1.0 + 1e-9:
-            problems.append(
-                f"timing: incremental-STA placer critical path {placer_ratio:.3f}x "
-                "of the candidate-anneal placer (must match or beat it)"
+                f"timing: timing-route wirelength {band:.3f}x of the fast "
+                f"oracle's route (> {REGRESSION_BAND}x)"
             )
 
     retime = kernels.get("retime", {})
@@ -197,24 +172,6 @@ def check(report: dict) -> list:
         if resilience.get("degradation_events", 1) != 0:
             problems.append(
                 "resilience: kernel degradation on a fault-free benchmark run"
-            )
-
-    crossover = kernels.get("auto_crossover", {})
-    if not crossover:
-        problems.append("auto_crossover: benchmark section missing")
-    else:
-        points = crossover.get("points", [])
-        if not points:
-            problems.append("auto_crossover: no measured points")
-        for p in points:
-            if not (p.get("success_astar") and p.get("success_wavefront")):
-                problems.append(
-                    f"auto_crossover: non-convergent route at {p.get('num_nodes')} nodes"
-                )
-        if not crossover.get("auto_kernel_consistent", False):
-            problems.append(
-                'auto_crossover: the fixed kernel="auto" alias contradicts the '
-                "measured astar/wavefront ratios (wavefront won somewhere)"
             )
 
     native = kernels.get("native", {})

@@ -149,10 +149,11 @@ def run_pe_flow(
     when the ``REPRO_PAR_CACHE`` environment variable names a directory.
     ``objective="timing"`` runs criticality-driven placement and routing
     (see :func:`repro.par.flow.place_and_route`).  ``route_deadline_s``
-    bounds each routing kernel's wall time; a kernel that exceeds it
-    degrades down the chain from its own position (astar->fast for the
-    ``auto`` default; wavefront heads the chain only when explicitly
-    requested) with the switch recorded in the result's events.
+    bounds each routing kernel's wall time; an ``astar`` route that
+    exceeds it (or crashes) degrades to the ``fast`` oracle, with the
+    switch recorded in the result's events.  A route that merely fails to
+    converge is returned as is, flagged by one ``kernel-nonconverged``
+    event.
     """
     elapsed: Dict[str, float] = {}
 

@@ -36,26 +36,15 @@ from ..fpga.architecture import FPGAArchitecture, auto_size
 from ..fpga.device import Device, build_device
 from ..obs.trace import span, traced
 from ..techmap.mapping import MappedNetwork
-from ..timing.delays import structural_edge_delays
+from ..timing.delays import estimated_edge_delays_from_coords
 from ..timing.graph import build_timing_graph
-from ..timing.sta import (
-    TimingAnalysis,
-    analyze,
-    net_criticality_from_placement,
-    scan_edge_criticality,
-)
+from ..timing.sta import TimingAnalysis, analyze, scan_edge_criticality
 from ..util.resilience import FaultInjected, count_events, inject, record_event
 from .cache import PaRCache
 from .metrics import MinChannelWidthResult, minimum_channel_width
 from .netlist import PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, TimingCost, place
-from .routing import (
-    AUTO_KERNEL,
-    RoutingResult,
-    route_resilient,
-    routing_from_payload,
-    routing_to_payload,
-)
+from .routing import RoutingResult, route_resilient, routing_from_payload, routing_to_payload
 from .timing import TimingReport, report_from_analysis
 
 __all__ = [
@@ -145,11 +134,9 @@ def cached_route(
     device: Device,
     cache: Optional[PaRCache] = None,
     max_iterations: int = 25,
-    kernel: str = "auto",
     objective: str = "wirelength",
     criticality_exponent: float = 1.0,
     deadline_s: Optional[float] = None,
-    degrade: bool = True,
     events: Optional[List[Dict[str, Any]]] = None,
 ) -> RoutingResult:
     """Resilient :func:`~repro.par.routing.route` with on-disk memoization.
@@ -158,33 +145,28 @@ def cached_route(
     hit re-hydrates the *full* :class:`RoutingResult` -- route trees
     included -- instead of re-routing; reconfiguration experiments that
     re-run the same (netlist, placement, architecture) triple pay the
-    route once per machine.  Kernels without a forest (``fast`` /
-    ``reference``) and corrupt or pre-forest cache entries degrade to a
-    plain route call.  Routing is deterministic for fixed inputs, so a
-    re-hydrated result is the one a fresh route would return.
+    route once per machine.  Corrupt or pre-forest cache entries degrade
+    to a plain route call.  Routing is deterministic for fixed inputs, so
+    a re-hydrated result is the one a fresh route would return.
 
     Failure semantics (all recorded into ``events``): a corrupt cache
     entry or a bad forest payload falls back to a fresh route
     (``cache-fallback``); the route itself runs under
     :func:`~repro.par.routing.route_resilient` with a ``deadline_s``
-    per-kernel budget and the astar->fast degradation chain (wavefront
-    only enters the chain when explicitly requested).
-    A result produced by a *degraded* kernel is never stored under the
-    requested kernel's key, so one bad run cannot poison the cache for
-    fault-free reruns.
+    per-kernel budget and the astar->fast degradation chain.  A result
+    produced by the *degraded* ``fast`` kernel is never stored under the
+    astar key, so one bad run cannot poison the cache for fault-free
+    reruns.
     """
-    resolved = kernel
-    if resolved == "auto":
-        resolved = AUTO_KERNEL
     key = None
-    if cache is not None and kernel not in ("fast", "reference"):
+    if cache is not None:
         key = PaRCache.route_key(
             netlist,
             placement,
             device.arch,
             device.arch.channel_width,
             max_iterations,
-            kernel,
+            "astar",
             objective=objective,
             tag=f"x{criticality_exponent}" if objective == "timing" else "",
         )
@@ -193,9 +175,7 @@ def cached_route(
             result = None
             if inject("cache.hydrate") is None:
                 result = routing_from_payload(hit)
-            if result is not None and (
-                result.kernel is None or result.kernel == resolved
-            ):
+            if result is not None and result.kernel in (None, "astar"):
                 # Re-hydrated results carry no convergence arrays (those are
                 # never serialized); mark the provenance instead.
                 result.telemetry = {"from_cache": True, "kernel": result.kernel}
@@ -209,14 +189,12 @@ def cached_route(
         placement,
         device,
         max_iterations=max_iterations,
-        kernel=kernel,
         objective=objective,
         criticality_exponent=criticality_exponent,
         deadline_s=deadline_s,
-        degrade=degrade,
         events=events,
     )
-    if key is not None and result.kernel == resolved:
+    if key is not None and result.kernel == "astar":
         payload = routing_to_payload(result)
         if payload is not None:
             cache.put(key, payload, events=events)
@@ -233,14 +211,10 @@ def place_and_route(
     find_min_channel_width: bool = False,
     min_cw_bounds: tuple = (2, 32),
     seed: int = 0,
-    route_kernel: str = "auto",
-    min_cw_route_kernel: str = "auto",
     workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
     objective: str = "wirelength",
     timing_tradeoff: Optional[float] = None,
-    timing_passes: int = 2,
-    timing_placer: str = "incremental",
     route_deadline_s: Optional[float] = None,
 ) -> PaRResult:
     """Run the full TPaR flow (TPLACE + TROUTE) on a mapped network.
@@ -260,23 +234,21 @@ def place_and_route(
         Additionally run the binary search for the minimum channel width
         (Table I's CW column).  This re-routes the design several times;
         ``workers`` parallelizes the probes and ``cache`` memoizes them
-        (defaults to ``PaRCache.from_env()``).  The probes use
-        ``min_cw_route_kernel`` (default ``auto``, resolving to the scalar
-        astar kernel below paper scale): widths below the minimum are
-        non-convergent by construction, which is the scalar kernel's fast
-        case -- see :func:`repro.par.metrics.minimum_channel_width`.
+        (defaults to ``PaRCache.from_env()``).  The probes route with the
+        production ``astar`` kernel -- see
+        :func:`repro.par.metrics.minimum_channel_width`.
     objective:
         ``"wirelength"`` (placement runs :func:`repro.par.placement.place`
         with its native ``batched`` kernel) or ``"timing"``: placement runs
-        :func:`timing_driven_placement` (criticality-weighted annealing,
-        incremental-STA by default -- ``timing_placer`` selects the mode)
-        and routing runs the VPR-style blended cost
-        ``crit * delay + (1 - crit) * congestion`` with per-iteration
-        criticality updates over the flat route forest.
-        ``timing_tradeoff`` scales the net weights, ``timing_passes`` the
-        number of re-weighting anneals of the ``candidates`` placer mode.
-        Every result carries the full STA in :attr:`PaRResult.sta` either
-        way.
+        :func:`timing_driven_placement` (one ``batched`` anneal with an
+        incremental-STA ``criticality * distance`` term) and routing runs
+        the VPR-style blended cost ``crit * delay + (1 - crit) * congestion``
+        with per-iteration criticality updates over the flat route forest.
+        ``timing_tradeoff`` scales the criticality term.  Every result
+        carries the full STA in :attr:`PaRResult.sta` either way.
+
+    Routing always runs the production ``astar`` kernel (see
+    :mod:`repro.par.routing`).
 
     With a ``cache`` (or ``REPRO_PAR_CACHE`` set) the main route is served
     through :func:`cached_route`: repeated flows over the same placed
@@ -308,8 +280,6 @@ def place_and_route(
             seed=seed,
             effort=placement_effort,
             tradeoff=timing_tradeoff,
-            passes=timing_passes,
-            mode=timing_placer,
         )
     else:
         placement = place(
@@ -325,7 +295,6 @@ def place_and_route(
         device,
         cache=cache,
         max_iterations=router_iterations,
-        kernel=route_kernel,
         objective=objective,
         criticality_exponent=2.0 if objective == "timing" else 1.0,
         deadline_s=route_deadline_s,
@@ -342,7 +311,6 @@ def place_and_route(
             arch,
             low=min_cw_bounds[0],
             high=min_cw_bounds[1],
-            route_kernel=min_cw_route_kernel,
             workers=workers,
             cache=cache,
         )
@@ -380,12 +348,11 @@ def place_and_route(
     )
 
 
-#: Default criticality tradeoff per placer mode.  The incremental mode's
+#: Default criticality tradeoff of :func:`timing_driven_placement`.  The
 #: per-connection ``crit * distance`` term is re-timed in the loop, so a
-#: stale weight decays as soon as its connection stops being critical --
-#: it tolerates (and measures best at) a sharper pull than the frozen
-#: between-anneal net weights of the candidates mode.
-_MODE_TRADEOFF = {"incremental": 4.0, "candidates": 3.0}
+#: stale weight decays as soon as its connection stops being critical; the
+#: placer tolerates (and measures best at) this sharp a pull.
+_MODE_TRADEOFF = 4.0
 
 
 def timing_driven_placement(
@@ -395,116 +362,48 @@ def timing_driven_placement(
     effort: float = 1.0,
     inner_num: float = 1.0,
     tradeoff: Optional[float] = None,
-    passes: int = 2,
     exponent: float = 2.0,
-    mode: str = "incremental",
     retime_every: Optional[int] = None,
 ) -> PlacementResult:
-    """Criticality-driven annealing; incremental-STA by default.
+    """Criticality-driven annealing with incremental STA (VPR-style).
 
-    ``mode="incremental"`` (default) is the VPR-style incremental-STA
-    placer: **one** ``batched`` anneal whose objective is plain HPWL plus a
+    **One** ``batched`` anneal whose objective is plain HPWL plus a
     per-connection ``criticality * distance`` term over the timing graph's
     flat edge arrays (:class:`repro.par.placement.TimingCost`).  Every
     ``retime_every`` accepted moves (default: half a temperature step) the
     live block coordinates feed a placement-estimate STA
     (:func:`repro.timing.sta.scan_edge_criticality`, pure NumPy) and the
     per-connection weights are refreshed in place -- criticality chases
-    the anneal instead of being frozen between candidate anneals, and each
-    *sink* is priced by its own slack rather than by its net's worst one.
-    One anneal replaces the candidate recipe's four (~0.3x the placement
-    time, measured in ``BENCH_hotpaths.json`` and gated by
-    ``check_quality.py``).
+    the anneal instead of being frozen, and each *sink* is priced by its
+    own slack rather than by its net's worst one.
 
-    ``mode="candidates"`` is PR 4's recipe, kept as the comparison
-    baseline: anneal an unweighted candidate, a structurally-weighted
-    candidate and ``passes`` re-weighted candidates (net-level weights,
-    criticalities frozen *between* anneals), then pick the best estimated
-    critical path.
-
-    ``tradeoff`` defaults per mode (see ``_MODE_TRADEOFF``).
+    ``tradeoff`` defaults to ``_MODE_TRADEOFF``; ``exponent`` sharpens the
+    criticalities.
     """
     if tradeoff is None:
-        tradeoff = _MODE_TRADEOFF.get(mode, 3.0)
+        tradeoff = _MODE_TRADEOFF
     graph = build_timing_graph(netlist, arch.lut_delay_ns)
 
-    def estimate(result: PlacementResult) -> Tuple[float, List[float]]:
-        return net_criticality_from_placement(graph, result.placement, arch, exponent=exponent)
+    def conn_criticality(block_x: List[int], block_y: List[int]) -> np.ndarray:
+        delays = estimated_edge_delays_from_coords(graph, block_x, block_y, arch)[0]
+        _cp, crit = scan_edge_criticality(graph, delays)
+        return crit**exponent if exponent != 1.0 else crit
 
-    def fold_structural() -> np.ndarray:
-        _dmax, crit = scan_edge_criticality(graph, structural_edge_delays(graph, arch))
-        if exponent != 1.0:
-            crit = crit**exponent
-        net_crit = np.zeros(len(netlist.nets))
-        if graph.num_edges:
-            np.maximum.at(net_crit, graph.edge_net, crit)
-        return net_crit
-
-    if mode == "incremental":
-
-        def conn_criticality(block_x: List[int], block_y: List[int]) -> np.ndarray:
-            from ..timing.delays import estimated_edge_delays_from_coords
-
-            delays = estimated_edge_delays_from_coords(graph, block_x, block_y, arch)[0]
-            _cp, crit = scan_edge_criticality(graph, delays)
-            return crit**exponent if exponent != 1.0 else crit
-
-        return place(
-            netlist,
-            arch,
-            seed=seed,
-            effort=effort,
-            inner_num=inner_num,
-            kernel="batched",
-            timing=TimingCost(
-                conn_src=graph.edge_src.tolist(),
-                conn_dst=graph.edge_dst.tolist(),
-                criticality=conn_criticality,
-                tradeoff=tradeoff,
-                retime_every=retime_every,
-            ),
-        )
-
-    if mode != "candidates":
-        raise ValueError(f"unknown timing placement mode {mode!r}")
-
-    candidates: List[Tuple[float, PlacementResult]] = []
-    base = place(netlist, arch, seed=seed, effort=effort, inner_num=inner_num, kernel="batched")
-    best_cp, best_crit = estimate(base)
-    candidates.append((best_cp, base))
-
-    struct_w = [1.0 + tradeoff * c for c in fold_structural()]
-    cand = place(
+    return place(
         netlist,
         arch,
         seed=seed,
         effort=effort,
         inner_num=inner_num,
         kernel="batched",
-        net_weights=struct_w,
+        timing=TimingCost(
+            conn_src=graph.edge_src.tolist(),
+            conn_dst=graph.edge_dst.tolist(),
+            criticality=conn_criticality,
+            tradeoff=tradeoff,
+            retime_every=retime_every,
+        ),
     )
-    cp, crit = estimate(cand)
-    if cp < best_cp:
-        best_cp, best_crit = cp, crit
-    candidates.append((cp, cand))
-
-    for i in range(1, passes + 1):
-        weights = [1.0 + tradeoff * c for c in best_crit]
-        cand = place(
-            netlist,
-            arch,
-            seed=seed + 1000 * i,
-            effort=effort,
-            inner_num=inner_num,
-            kernel="batched",
-            net_weights=weights,
-        )
-        cp, crit = estimate(cand)
-        if cp < best_cp:
-            best_cp, best_crit = cp, crit
-        candidates.append((cp, cand))
-
-    return min(candidates, key=lambda t: t[0])[1]
 
 
 def _place_seed_task(args: Tuple) -> Tuple[int, Dict]:

@@ -114,7 +114,7 @@ def _route_width_task(
     """
     from ..timing.sta import analyze
 
-    netlist, placement, base_arch, width, max_iterations, kernel = args
+    netlist, placement, base_arch, width, max_iterations = args
     fault = inject("cw.probe")
     if fault == "crash":
         # Simulated hard worker death: kills the process without unwinding,
@@ -124,13 +124,7 @@ def _route_width_task(
         raise FaultInjected("cw.probe", kind=fault)
     device = build_device(base_arch.with_channel_width(width))
     try:
-        result = route(
-            netlist,
-            placement,
-            device,
-            max_iterations=max_iterations,
-            kernel=kernel,
-        )
+        result = route(netlist, placement, device, max_iterations=max_iterations)
     except RuntimeError:
         # An unreachable sink at this width is a legitimate probe outcome
         # (the width is below the minimum), not a worker failure.
@@ -157,7 +151,6 @@ def minimum_channel_width(
     low: int = 2,
     high: int = 32,
     max_router_iterations: int = 12,
-    route_kernel: str = "auto",
     workers: Optional[int] = None,
     cache: Optional[PaRCache] = None,
 ) -> MinChannelWidthResult:
@@ -174,15 +167,11 @@ def minimum_channel_width(
     :class:`~repro.par.cache.PaRCache` or rely on ``PaRCache.from_env()`` at
     the call site.
 
-    ``route_kernel`` defaults to ``auto``, which resolves to the scalar
-    ``astar`` kernel (see :data:`repro.par.routing.AUTO_KERNEL`).  That is
-    especially right here: the binary search spends most of its time on
-    deliberately-congested widths below the minimum, where a probe is 15
-    iterations of non-convergent reroute storms -- the scalar kernel
-    handles those far faster than the opt-in ``wavefront`` kernel, whose
-    strength is the converging route.  The kernels agree on routability
-    (all are gated to reference-class quality), so the found width is the
-    same.
+    Every probe routes with the production ``astar`` kernel.  The binary
+    search spends most of its time on deliberately-congested widths below
+    the minimum, where a probe is ``max_router_iterations`` iterations of
+    non-convergent re-routes; astar's connection-level incremental rip-up
+    keeps those cheap.
 
     A pool worker that crashes or raises does not lose the search: its
     probes are resubmitted serially in the parent (``pool-failure`` +
@@ -219,7 +208,7 @@ def minimum_channel_width(
                 base_arch,
                 width,
                 max_router_iterations,
-                route_kernel,
+                "astar",
             )
             value = {"success": ok, "wirelength": wirelength}
             if timing is not None:
@@ -241,7 +230,7 @@ def minimum_channel_width(
                     base_arch,
                     w,
                     max_router_iterations,
-                    route_kernel,
+                    "astar",
                 )
                 hit = cache.get(key, events=events)
                 if hit is not None:
@@ -257,10 +246,7 @@ def minimum_channel_width(
             todo.append(w)
         if not todo:
             return
-        tasks = [
-            (netlist, placement, base_arch, w, max_router_iterations, route_kernel)
-            for w in todo
-        ]
+        tasks = [(netlist, placement, base_arch, w, max_router_iterations) for w in todo]
         failed: List[Tuple] = []
         if pool_size > 1 and len(todo) > 1:
             with ProcessPoolExecutor(max_workers=min(pool_size, len(todo))) as pool:

@@ -242,13 +242,16 @@ class TestKernelReproducibility:
         )
         device = build_device(arch)
         placement = place(netlist, arch, seed=2, effort=0.4).placement
-        ref = route(netlist, placement, device, kernel="reference")
-        new = route(netlist, placement, device, kernel="fast")
-        assert new.success == ref.success
-        assert new.iterations == ref.iterations
-        assert new.wirelength == ref.wirelength
-        assert new.overused_nodes == ref.overused_nodes
-        assert new.max_channel_occupancy == ref.max_channel_occupancy
-        assert set(new.routes) == set(ref.routes)
-        for nid, r in ref.routes.items():
-            assert new.routes[nid].nodes == r.nodes
+        # Both kernels are deterministic: a re-route of the same placement
+        # reproduces every route tree and every metric.
+        for kernel in ("astar", "fast"):
+            ref = route(netlist, placement, device, kernel=kernel)
+            new = route(netlist, placement, device, kernel=kernel)
+            assert new.success == ref.success, kernel
+            assert new.iterations == ref.iterations, kernel
+            assert new.wirelength == ref.wirelength, kernel
+            assert new.overused_nodes == ref.overused_nodes, kernel
+            assert new.max_channel_occupancy == ref.max_channel_occupancy, kernel
+            assert set(new.routes) == set(ref.routes), kernel
+            for nid, r in ref.routes.items():
+                assert new.routes[nid].nodes == r.nodes, kernel

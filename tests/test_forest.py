@@ -32,7 +32,7 @@ from repro.timing.delays import estimated_edge_delays, routed_edge_delays
 from repro.timing.graph import build_timing_graph
 from repro.timing.sta import CriticalityTracker, analyze
 
-KERNELS = ["wavefront", "astar", "fast", "reference"]
+KERNELS = ["astar", "fast"]
 
 
 def adder_network(width=6):
@@ -72,12 +72,10 @@ def wire_mask(device):
 class TestForestRoundTrip:
     def test_directed_kernels_emit_forest(self, routed_pe):
         _nl, _arch, _device, _placement, results = routed_pe
-        assert results["wavefront"].forest is not None
         assert results["astar"].forest is not None
-        # Baselines stay untouched (their benchmark timings must not pay
+        # The oracle stays untouched (its benchmark timings must not pay
         # a forest build).
         assert results["fast"].forest is None
-        assert results["reference"].forest is None
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_wirelength_matches(self, routed_pe, kernel):
@@ -118,7 +116,7 @@ class TestForestRoundTrip:
     def test_analysis_identical_with_and_without_forest(self, routed_pe):
         """analyze() reports the same critical path through either path."""
         nl, _arch, device, placement, results = routed_pe
-        r = results["wavefront"]
+        r = results["astar"]
         a_flat = analyze(nl, r, device, placement=placement)
         stripped = type(r)(
             routes=r.routes, success=r.success, iterations=r.iterations,
@@ -146,7 +144,7 @@ class TestForestRoundTrip:
 
     def test_corrupt_payload_reads_as_miss(self, routed_pe):
         _nl, _arch, _device, _placement, results = routed_pe
-        payload = routing_to_payload(results["wavefront"])
+        payload = routing_to_payload(results["astar"])
         bad = json.loads(json.dumps(payload))
         bad["forest"]["node"] = bad["forest"]["node"][:3]  # truncated
         assert routing_from_payload(bad) is None
@@ -176,7 +174,7 @@ class TestFlatCriticality:
     def test_tracker_flat_matches_dict(self, routed_pe):
         """conn_crit[conn_index[k]] == legacy dict[k], bit for bit."""
         nl, _arch, device, placement, results = routed_pe
-        r = results["wavefront"]
+        r = results["astar"]
         tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
         flat = tracker.update_flat(r.routes).copy()
         legacy = tracker.update(r.routes)
@@ -200,22 +198,21 @@ class TestFlatCriticality:
         nl, _arch, device, placement, results = routed_pe
         tracker = CriticalityTracker(nl, placement, device)
         first = tracker.initial_flat()
-        second = tracker.update_flat(results["wavefront"].routes)
+        second = tracker.update_flat(results["astar"].routes)
         assert first is second  # same buffer, refreshed in place
 
     def test_timing_objective_kernels_agree_with_pre_forest_quality(self, routed_pe):
         """Timing routes still converge and beat/match the default delay."""
         nl, _arch, device, placement, results = routed_pe
-        base = results["wavefront"]
+        base = results["astar"]
         a_base = analyze(nl, base, device, placement=placement)
-        for kernel in ("wavefront", "astar"):
-            timed = route(
-                nl, placement, device, kernel=kernel,
-                objective="timing", criticality_exponent=2.0,
-            )
-            assert timed.success
-            a_t = analyze(nl, timed, device, placement=placement)
-            assert a_t.critical_path_ns <= 1.05 * a_base.critical_path_ns
+        timed = route(
+            nl, placement, device, kernel="astar",
+            objective="timing", criticality_exponent=2.0,
+        )
+        assert timed.success
+        a_t = analyze(nl, timed, device, placement=placement)
+        assert a_t.critical_path_ns <= 1.05 * a_base.critical_path_ns
 
 
 class TestCacheRehydration:
@@ -246,12 +243,6 @@ class TestCacheRehydration:
             path.write_text(json.dumps({"success": True, "wirelength": 1}))
         again = cached_route(nl, placement, device, cache=cache)
         assert again.wirelength == first.wirelength
-
-    def test_cached_route_scalar_baselines_bypass_cache(self, routed_pe, tmp_path):
-        nl, _arch, device, placement, _results = routed_pe
-        cache = PaRCache(tmp_path / "routes")
-        cached_route(nl, placement, device, cache=cache, kernel="fast")
-        assert cache.hits == 0 and cache.misses == 0
 
     def test_min_cw_values_stay_metrics_only(self, tmp_path):
         """Probe values carry no forest: their keys (probe kernel, probe
@@ -329,15 +320,6 @@ class TestIncrementalPlacer:
             for k, s in b.placement.block_site.items()
         )
 
-    def test_unknown_mode_rejected(self):
-        net = adder_network(4)
-        from repro.par.netlist import from_mapped_network
-
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
-        with pytest.raises(ValueError, match="mode"):
-            timing_driven_placement(nl, arch, mode="nope")
-
     def test_timing_cost_requires_batched_kernel(self):
         net = adder_network(4)
         from repro.par.netlist import from_mapped_network
@@ -356,23 +338,3 @@ class TestIncrementalPlacer:
     def test_timing_cost_validates_conn_arrays(self):
         with pytest.raises(ValueError, match="equal length"):
             TimingCost([0, 1], [1], lambda x, y: [])
-
-    def test_beats_or_matches_candidates_on_estimated_cp(self):
-        """The headline claim at unit-test scale: the incremental placer's
-        estimated critical path is no worse than the candidate recipe's."""
-        from repro.par.netlist import from_mapped_network
-        from repro.timing.sta import net_criticality_from_placement
-
-        net = adder_network(6)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
-        graph = build_timing_graph(nl, arch.lut_delay_ns)
-
-        def est(result):
-            return net_criticality_from_placement(
-                graph, result.placement, arch, exponent=2.0
-            )[0]
-
-        inc = timing_driven_placement(nl, arch, seed=1, effort=0.4)
-        cand = timing_driven_placement(nl, arch, seed=1, effort=0.4, mode="candidates")
-        assert est(inc) <= est(cand) * 1.001

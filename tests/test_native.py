@@ -311,13 +311,9 @@ class TestAnnealerBitIdentity:
         exact-int timing costs) must still match the Python twin."""
         nl, arch, _device, _ = workload
         for seed in BENCH_SEEDS[:2]:
-            nat = timing_driven_placement(
-                nl, arch, seed=seed, effort=0.3, mode="incremental"
-            )
+            nat = timing_driven_placement(nl, arch, seed=seed, effort=0.3)
             with python_twins():
-                py = timing_driven_placement(
-                    nl, arch, seed=seed, effort=0.3, mode="incremental"
-                )
+                py = timing_driven_placement(nl, arch, seed=seed, effort=0.3)
             self._identical(nat, py)
 
     def test_callback_exception_propagates(self, workload):

@@ -1,5 +1,6 @@
 """Tests for placement, routing and the TPaR flow."""
 
+import hashlib
 import statistics
 
 import pytest
@@ -230,23 +231,23 @@ class TestDirectedRoutingKernel:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
         device = build_device(arch)
-        ref_wl, fast_wl = [], []
+        ref_wl, astar_wl = [], []
         for seed in range(8):
             placement = place(nl, arch, seed=seed, effort=0.4).placement
-            ref = route(nl, placement, device, kernel="reference")
-            fast = route(nl, placement, device, kernel="astar")
-            assert fast.success == ref.success, seed
-            assert fast.overused_nodes == 0, seed
-            assert set(fast.routes) == {n.id for n in nl.nets}
-            occ = channel_occupancy(fast, device)
+            ref = route(nl, placement, device, kernel="fast")
+            astar = route(nl, placement, device, kernel="astar")
+            assert astar.success == ref.success, seed
+            assert astar.overused_nodes == 0, seed
+            assert set(astar.routes) == {n.id for n in nl.nets}
+            occ = channel_occupancy(astar, device)
             assert occ["peak"] <= arch.channel_width, seed
             ref_wl.append(ref.wirelength)
-            fast_wl.append(fast.wirelength)
+            astar_wl.append(astar.wirelength)
         # The directed kernel is re-baselined, not bit-checked: over the
         # default placer's seeds its mean wirelength must stay within 5% of
-        # the reference route's.
-        ratio = statistics.mean(fast_wl) / statistics.mean(ref_wl)
-        assert ratio <= 1.05, f"astar mean wirelength {ratio:.3f}x of reference"
+        # the fast oracle's route.
+        ratio = statistics.mean(astar_wl) / statistics.mean(ref_wl)
+        assert ratio <= 1.05, f"astar mean wirelength {ratio:.3f}x of the fast oracle"
 
     def test_astar_routes_are_connected_trees(self):
         # Every net's route must contain its source and all sink nodes, and
@@ -288,55 +289,10 @@ class TestDirectedRoutingKernel:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        with pytest.raises(ValueError):
-            route(nl, placement, device, kernel="warp")
-
-
-class TestAutoKernel:
-    def test_auto_resolves_to_astar(self):
-        # "auto" is a fixed alias for the astar kernel at every scale (the
-        # crossover benchmark retired the size-based wavefront promotion):
-        # identical routes, wirelength and convergence.
-        import repro.par.routing as routing_mod
-
-        assert routing_mod.AUTO_KERNEL == "astar"
-        nl = chain_netlist(6)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=1, effort=0.4).placement
-        auto = route(nl, placement, device, kernel="auto")
-        astar = route(nl, placement, device, kernel="astar")
-        assert auto.wirelength == astar.wirelength
-        assert auto.iterations == astar.iterations
-        for nid, r in astar.routes.items():
-            assert auto.routes[nid].nodes == r.nodes
-
-    def test_wavefront_stays_available_opt_in(self):
-        # Demoted from the defaults, not removed: explicit requests still
-        # run the vectorized kernel.
-        nl = chain_netlist(6)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=1, effort=0.4).placement
-        wave = route(nl, placement, device, kernel="wavefront")
-        assert wave.success
-        assert wave.kernel == "wavefront"
-
-    def test_min_cw_default_probe_kernel_is_auto(self):
-        # The probe default must agree with the explicit scalar kernel at
-        # sub-crossover scale (same minimum, same wirelength) and carry the
-        # timing summary alongside the wirelength metrics.
-        nl = chain_netlist(8)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=8)
-        placement = place(nl, arch, seed=3, effort=0.5).placement
-        default = minimum_channel_width(nl, placement, arch, low=1, high=8)
-        explicit = minimum_channel_width(
-            nl, placement, arch, low=1, high=8, route_kernel="astar"
-        )
-        assert default.min_channel_width == explicit.min_channel_width
-        assert default.wirelength_at_min == explicit.wirelength_at_min
-        assert default.timing_at_min is not None
-        assert default.timing_at_min["critical_path_ns"] > 0
+        # Includes the retired kernels and alias: only astar and fast remain.
+        for kernel in ("warp", "wavefront", "reference", "auto"):
+            with pytest.raises(ValueError, match="unknown routing kernel"):
+                route(nl, placement, device, kernel=kernel)
 
 
 class TestCacheObjectiveNamespace:
@@ -368,91 +324,6 @@ class TestCacheObjectiveNamespace:
         again = minimum_channel_width(nl, placement, arch, low=1, high=8, cache=cache2)
         assert again.timing_at_min == first.timing_at_min
         assert cache2.hits > 0
-
-
-class TestWavefrontRoutingKernel:
-    def test_wavefront_matches_reference_quality(self):
-        net = adder_network(6)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
-        device = build_device(arch)
-        ref_wl, wave_wl = [], []
-        for seed in range(8):
-            placement = place(nl, arch, seed=seed, effort=0.4).placement
-            ref = route(nl, placement, device, kernel="reference")
-            wave = route(nl, placement, device, kernel="wavefront")
-            assert wave.success == ref.success, seed
-            assert wave.overused_nodes == 0, seed
-            assert set(wave.routes) == {n.id for n in nl.nets}
-            occ = channel_occupancy(wave, device)
-            assert occ["peak"] <= arch.channel_width, seed
-            ref_wl.append(ref.wirelength)
-            wave_wl.append(wave.wirelength)
-        # Re-baselined, not bit-checked: over the default placer's seeds the
-        # vectorized kernel's mean wirelength must stay within 2% of the
-        # reference route's.
-        ratio = statistics.mean(wave_wl) / statistics.mean(ref_wl)
-        assert ratio <= 1.02, f"wavefront mean wirelength {ratio:.3f}x of reference"
-
-    def test_wavefront_routes_are_connected_trees(self):
-        nl = chain_netlist(8)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=2, effort=0.5).placement
-        result = route(nl, placement, device, kernel="wavefront")
-        assert result.success
-        rr = device.rr_graph
-        adj = {n: set(rr.fanouts(n).tolist()) for r in result.routes.values()
-               for n in r.nodes}
-        for r in result.routes.values():
-            nodes = set(r.nodes)
-            reached = {r.nodes[0]}
-            frontier = [r.nodes[0]]
-            while frontier:
-                n = frontier.pop()
-                for m in adj[n] & nodes:
-                    if m not in reached:
-                        reached.add(m)
-                        frontier.append(m)
-            assert reached == nodes
-
-    def test_wavefront_is_deterministic(self):
-        net = adder_network(5)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=6)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=1, effort=0.4).placement
-        a = route(nl, placement, device, kernel="wavefront")
-        b = route(nl, placement, device, kernel="wavefront")
-        assert a.wirelength == b.wirelength
-        assert a.iterations == b.iterations
-        for nid, r in a.routes.items():
-            assert b.routes[nid].nodes == r.nodes
-
-    def test_wavefront_batch_sizes_agree_on_success(self):
-        # Batching changes the negotiation trajectory but never correctness:
-        # every batch size must converge to a legal route.
-        nl = chain_netlist(10)
-        arch = FPGAArchitecture(width=4, height=4, channel_width=4)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=3, effort=0.5).placement
-        for batch in (1, 2, 8):
-            result = route(nl, placement, device, kernel="wavefront", batch=batch)
-            assert result.success, f"batch={batch}"
-            assert result.overused_nodes == 0
-            occ = channel_occupancy(result, device)
-            assert occ["peak"] <= arch.channel_width
-
-    def test_wavefront_congestion_fails_gracefully(self):
-        net = adder_network(6)
-        nl = from_mapped_network(net)
-        arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=1)
-        device = build_device(arch)
-        placement = place(nl, arch, seed=0, effort=0.3).placement
-        result = route(nl, placement, device, kernel="wavefront", max_iterations=3)
-        # With W=1 either the router reports congestion or it squeezes
-        # through; it must never report success while nodes are overused.
-        assert result.success == (result.overused_nodes == 0)
 
 
 class TestBatchedPlacementKernel:
@@ -522,6 +393,53 @@ class TestPlacementSweep:
         for a, b in zip(first, second):
             for bid, site in a.placement.block_site.items():
                 assert b.placement.block_site[bid].as_tuple() == site.as_tuple()
+
+
+class TestDefaultFlowGoldenPin:
+    """Bit-level pin of the default flow: astar, batched placer, min-CW search.
+
+    One 8-bit mapped adder at W=8, seed 2, per objective.  The digest covers
+    the route trees themselves, so any change to the routing trajectory,
+    the placement or the min-CW bisection shows up here.  The native kernels
+    and their Python twins are bit-identical, so the same digest holds under
+    ``REPRO_NATIVE=0``.
+    """
+
+    GOLDEN = {
+        "wirelength": {
+            "wirelength": 116,
+            "iterations": 2,
+            "routes_sha256": "3b4042871cca97827ee6648c2f49d93d347ad46ce82ea1edd139593359de7dd4",
+            "critical_path_ns": 7.0,
+            "minimum_channel_width": 3,
+        },
+        "timing": {
+            "wirelength": 131,
+            "iterations": 2,
+            "routes_sha256": "cfd730b796a893945c27acedecb51a893a4b1e52213215ecd3a301adaa94bf64",
+            "critical_path_ns": 5.6,
+            "minimum_channel_width": 3,
+        },
+    }
+
+    @pytest.mark.parametrize("objective", ["wirelength", "timing"])
+    def test_default_flow_digest(self, objective):
+        result = place_and_route(
+            adder_network(8), channel_width=8, seed=2, placement_effort=0.4,
+            objective=objective, find_min_channel_width=True,
+        )
+        routes = result.routing.routes
+        h = hashlib.sha256()
+        for nid in sorted(routes):
+            h.update(f"{nid}:{sorted(routes[nid].nodes)};".encode())
+        digest = {
+            "wirelength": result.routing.wirelength,
+            "iterations": result.routing.iterations,
+            "routes_sha256": h.hexdigest(),
+            "critical_path_ns": round(result.timing.critical_path_ns, 9),
+            "minimum_channel_width": result.min_channel_width.min_channel_width,
+        }
+        assert digest == self.GOLDEN[objective]
 
 
 class TestTimingAndFlow:

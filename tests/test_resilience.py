@@ -349,7 +349,7 @@ class TestCachedRouteResilience:
             assert degraded.kernel == "fast"
             assert count_events(events, "degraded-kernel") == 1
         # The fault-free rerun must route fresh (no poisoned hit) and match
-        # the astar (auto default) baseline exactly.
+        # the astar (default) baseline exactly.
         events2 = []
         clean = cached_route(netlist, placement, device, cache=cache, events=events2)
         assert clean.kernel == "astar"
@@ -370,12 +370,12 @@ class TestRouteResilient:
     def test_fault_free_is_bit_identical_to_route(self, placed_chain):
         netlist, placement, arch, device = placed_chain
         events = []
-        a = route(netlist, placement, device, kernel="wavefront")
+        a = route(netlist, placement, device, kernel="astar")
         b = route_resilient(
-            netlist, placement, device, kernel="wavefront", events=events
+            netlist, placement, device, kernel="astar", events=events
         )
         assert events == []
-        assert b.kernel == "wavefront"
+        assert b.kernel == "astar"
         assert a.wirelength == b.wirelength
         assert {n: r.nodes for n, r in a.routes.items()} == {
             n: r.nodes for n, r in b.routes.items()
@@ -383,18 +383,18 @@ class TestRouteResilient:
 
     def test_timeout_degrades_down_the_chain(self, placed_chain):
         netlist, placement, arch, device = placed_chain
-        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:2")):
+        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
             events = []
             result = route_resilient(
-                netlist, placement, device, kernel="wavefront", events=events
+                netlist, placement, device, kernel="astar", events=events
             )
         assert result.success
         assert result.kernel == "fast"
         kinds = [e["event"] for e in events]
-        assert kinds.count("kernel-deadline") == 2
+        assert kinds.count("kernel-deadline") == 1
         assert kinds.count("degraded-kernel") == 1
         degr = next(e for e in events if e["event"] == "degraded-kernel")
-        assert degr["requested"] == "wavefront"
+        assert degr["requested"] == "astar"
         assert degr["kernel"] == "fast"
 
     def test_kernel_error_degrades(self, placed_chain):
@@ -402,15 +402,15 @@ class TestRouteResilient:
         with fault_plan(FaultPlan.from_spec("route.kernel=error:1")):
             events = []
             result = route_resilient(
-                netlist, placement, device, kernel="wavefront", events=events
+                netlist, placement, device, kernel="astar", events=events
             )
-        assert result.success and result.kernel == "astar"
+        assert result.success and result.kernel == "fast"
+        assert result.forest is not None
         assert count_events(events, "kernel-error") == 1
 
     def test_real_deadline_timeout_degrades(self, placed_chain):
-        """A genuine (not injected) 0-second budget exhausts wavefront+astar;
-        the chain still produces a valid route via a later kernel, because
-        each attempt gets a *fresh* deadline."""
+        """A genuine (not injected) 0-second budget exhausts the chain: each
+        attempt gets a *fresh* deadline, and every one expires."""
         netlist, placement, arch, device = placed_chain
 
         # Zero-budget deadlines expire on the first poll of every kernel --
@@ -420,9 +420,9 @@ class TestRouteResilient:
         with pytest.raises(DeadlineExceeded):
             route_resilient(
                 netlist, placement, device,
-                kernel="wavefront", deadline_s=0.0, events=events,
+                kernel="astar", deadline_s=0.0, events=events,
             )
-        assert count_events(events, "kernel-deadline") == 3
+        assert count_events(events, "kernel-deadline") == 2
 
     def test_exhausted_chain_raises_last_error(self, placed_chain):
         netlist, placement, arch, device = placed_chain
@@ -430,30 +430,52 @@ class TestRouteResilient:
             events = []
             with pytest.raises(FaultInjected):
                 route_resilient(
-                    netlist, placement, device, kernel="wavefront", events=events
+                    netlist, placement, device, kernel="astar", events=events
                 )
-        assert count_events(events, "kernel-error") == 3
-
-    def test_degrade_false_reraises(self, placed_chain):
-        netlist, placement, arch, device = placed_chain
-        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
-            with pytest.raises(DeadlineExceeded):
-                route_resilient(
-                    netlist, placement, device, kernel="wavefront", degrade=False
-                )
+        assert count_events(events, "kernel-error") == 2
 
     def test_timing_objective_degrades_objective_on_fast(self, placed_chain):
         netlist, placement, arch, device = placed_chain
-        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:2")):
+        with fault_plan(FaultPlan.from_spec("route.kernel=timeout:1")):
             events = []
             result = route_resilient(
                 netlist, placement, device,
-                kernel="wavefront", objective="timing", events=events,
+                kernel="astar", objective="timing", events=events,
             )
         assert result.success and result.kernel == "fast"
         degr = next(e for e in events if e["event"] == "degraded-kernel")
         assert degr["objective"] == "wirelength"
         assert degr["objective_degraded"] is True
+
+    def test_nonconvergence_is_a_result_not_a_degradation(self):
+        """Congestion never walks the chain: the requested kernel's own
+        non-converged result comes back with one kernel-nonconverged event."""
+        network = adder_network(6)
+        netlist = from_mapped_network(network)
+        arch = auto_size(
+            netlist.num_logic_blocks() + netlist.num_ff_blocks(),
+            netlist.num_io_blocks(),
+            channel_width=2,
+        )
+        device = build_device(arch)
+        placement = place(netlist, arch, seed=0, effort=0.3).placement
+        events = []
+        result = route_resilient(
+            netlist, placement, device, max_iterations=1, events=events
+        )
+        assert not result.success
+        assert result.kernel == "astar"
+        assert count_events(events, "kernel-nonconverged") == 1
+        assert count_events(events, "degraded-kernel") == 0
+
+        par = place_and_route(
+            network, channel_width=2, placement_effort=0.3, router_iterations=1
+        )
+        assert not par.routing.success
+        assert par.routing.kernel == "astar"
+        assert count_events(par.events, "kernel-nonconverged") == 1
+        assert not par.degraded
+        assert par.summary()["degraded_kernel"] == 0
 
 
 # ---------------------------------------------------------------------------

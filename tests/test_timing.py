@@ -35,7 +35,7 @@ def adder_network(width=4):
     return map_conventional(opt)
 
 
-def routed_design(width=6, channel_width=8, seed=2, kernel="wavefront"):
+def routed_design(width=6, channel_width=8, seed=2, kernel="astar"):
     net = adder_network(width)
     nl = from_mapped_network(net)
     arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=channel_width)
@@ -196,7 +196,7 @@ class TestTimingObjective:
         # The headline quality claim at unit scale: the timing objective
         # must beat the wirelength objective's routed critical path at the
         # same channel width, while staying inside the 1.02x wirelength
-        # band of the reference route on its own placement.
+        # band of the fast oracle's route on its own placement.
         net = adder_network(6)
         wl = place_and_route(net, channel_width=8, placement_effort=0.4, seed=1)
         timing = place_and_route(
@@ -208,7 +208,7 @@ class TestTimingObjective:
         assert ratio <= 0.99, f"timing objective did not improve delay ({ratio:.3f}x)"
         ref = route(
             timing.netlist, timing.placement.placement, timing.device,
-            kernel="reference",
+            kernel="fast",
         )
         assert timing.wirelength <= 1.02 * ref.wirelength
 
@@ -216,7 +216,7 @@ class TestTimingObjective:
         # Same placement, both objectives: the timing-driven router must
         # still converge and stay within the wirelength band.
         net, nl, arch, device, placement, routing = routed_design()
-        timed = route(nl, placement, device, kernel="wavefront", objective="timing")
+        timed = route(nl, placement, device, kernel="astar", objective="timing")
         assert timed.success
         assert timed.wirelength <= 1.05 * routing.wirelength
         a_wl = analyze(nl, routing, device, placement=placement)
@@ -228,9 +228,8 @@ class TestTimingObjective:
         arch = FPGAArchitecture(width=4, height=4, channel_width=4)
         device = build_device(arch)
         placement = place(nl, arch, seed=0, effort=0.3).placement
-        for kernel in ("fast", "reference"):
-            with pytest.raises(ValueError, match="timing"):
-                route(nl, placement, device, kernel=kernel, objective="timing")
+        with pytest.raises(ValueError, match="timing"):
+            route(nl, placement, device, kernel="fast", objective="timing")
         with pytest.raises(ValueError, match="objective"):
             route(nl, placement, device, objective="area")
 
@@ -271,7 +270,7 @@ class TestTimingPlacement:
         net = adder_network(5)
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks(), channel_width=8)
-        result = timing_driven_placement(nl, arch, seed=0, effort=0.3, passes=1)
+        result = timing_driven_placement(nl, arch, seed=0, effort=0.3)
         assert set(result.placement.block_site) == {b.id for b in nl.blocks}
         assert result.cost == hpwl(nl, result.placement)
 
