@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.trace import span
 from .architecture import FPGAArchitecture, auto_size
 from .bitstream import ConfigurationLayout
 from .routing_graph import RRGraph, build_rr_graph
@@ -37,11 +38,16 @@ class Device:
 
 def build_device(arch: FPGAArchitecture) -> Device:
     """Build the routing graph and configuration layout for an architecture."""
-    return Device(
-        arch=arch,
-        rr_graph=build_rr_graph(arch),
-        config_layout=ConfigurationLayout(arch),
-    )
+    with span(
+        "fpga.build_device", side=f"{arch.width}x{arch.height}", W=arch.channel_width
+    ) as s:
+        rr_graph = build_rr_graph(arch)
+        s.annotate(rr_nodes=rr_graph.num_nodes)
+        return Device(
+            arch=arch,
+            rr_graph=rr_graph,
+            config_layout=ConfigurationLayout(arch),
+        )
 
 
 def device_for_netlist(

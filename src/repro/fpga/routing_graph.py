@@ -16,10 +16,37 @@ The construction mirrors VPR's graph for the 4-LUT "sanitized" architecture:
 
 Node attributes are stored in parallel NumPy arrays and adjacency in CSR form
 so that the router's inner loop stays cheap.
+
+:func:`build_rr_graph` computes every array by index arithmetic, and
+guarantees this numbering and order (the router's tie-breaks depend on it;
+``tests/test_routing_graph.py`` checks it against a loop-built oracle):
+
+* **Node ids**, in blocks, with ``W`` = channel width and ``L`` =
+  ``lut_inputs``:
+
+  1. CHANX ``(x, y, t)`` for ``y`` in ``0..height``, ``x`` in
+     ``1..width``, ``t`` in ``0..W-1`` (outermost first):
+     id ``(y * width + x - 1) * W + t``;
+  2. CHANY ``(x, y, t)`` for ``x`` in ``0..width``, ``y`` in
+     ``1..height``, ``t``: id ``NX + (x * height + y - 1) * W + t``, where
+     ``NX`` is the CHANX count;
+  3. one ``3 + L`` stride per logic block, blocks in ``x``-major order:
+     SOURCE, OPIN, SINK (capacity ``L``), then the ``L`` IPINs;
+  4. four nodes per IO site in :meth:`FPGAArchitecture.io_sites` order:
+     SOURCE, OPIN, IPIN, SINK, each with ``track`` = the site's subtile.
+* **Edge order.**  Row ``n`` of the CSR lists ``n``'s fanouts in the order
+  the switches are enumerated: first the switch blocks (per ``(i, j, t)``
+  in ``x``-major order, every pair of the incident wires left/right/below/
+  above in both directions), then per logic block SOURCE -> OPIN, OPIN ->
+  each ``fc_out`` wire, and per IPIN the IPIN -> SINK edge followed by
+  each ``fc_in`` wire -> IPIN, then per IO site SOURCE -> OPIN,
+  IPIN -> SINK and per track OPIN -> wire, wire -> IPIN.  Per pin the
+  wires are enumerated per track as channel above, below, right, left.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -146,6 +173,14 @@ class RRGraph:
         return view
 
 
+def _type_table(values: Dict[int, float]) -> np.ndarray:
+    """Per-type lookup vector: ``table[node_type]`` gives a per-node array."""
+    table = np.zeros(len(RRNodeType.NAMES), dtype=np.float64)
+    for t, v in values.items():
+        table[t] = v
+    return table
+
+
 class RouterSearchView:
     """Flat mirrors of an :class:`RRGraph` for the directed ``astar`` router.
 
@@ -158,16 +193,21 @@ class RouterSearchView:
     remaining unit of Manhattan distance to the target costs at least one
     unit-length wire of base cost 1.0.
 
-    The filtered adjacency is materialized twice from one construction pass:
+    Everything is built by array passes over the graph's CSR:
 
-    * ``csr_ptr`` / ``csr_dst`` -- contiguous NumPy CSR arrays read by the
+    * ``csr_ptr`` / ``csr_dst`` -- the filtered adjacency, read by the
       native expansion loop, alongside ``xs_arr`` / ``ys_arr``
       (Manhattan-lookahead tables), ``base_cost`` (congestion-free node
       costs, :data:`RR_BASE_COST`) and ``delay_ns`` (per-node intrinsic
       delays, :func:`rr_delay_ns` -- the flat delay model consumed by the
       STA engine and the timing-driven router objective);
+    * the entry maps of *all* sinks at once, one lexsort of the two-hop
+      reverse edges ``wire -> ipin -> sink`` by ``(sink, wire, ipin rank)``
+      (:meth:`entry_csr` slices it, :meth:`entries_of` is a dict view of
+      the same slice);
     * ``adj_search`` -- per-node Python lists sliced out of the same CSR,
-      the layout of the Python twin of the expansion loop.
+      the layout of the Python twin of the expansion loop, built on first
+      access only (the native kernel never reads it).
     """
 
     def __init__(self, rr: RRGraph) -> None:
@@ -179,12 +219,10 @@ class RouterSearchView:
 
         # Filtered adjacency (no IPIN/SINK targets) as contiguous NumPy CSR.
         num_nodes = rr.num_nodes
-        dst_type = rr.node_type[rr.edge_dst]
+        ntype = rr.node_type
+        edge_src = np.repeat(np.arange(num_nodes, dtype=np.int32), np.diff(rr.edge_ptr))
+        dst_type = ntype[rr.edge_dst]
         keep = (dst_type != RRNodeType.IPIN) & (dst_type != RRNodeType.SINK)
-        edge_src = np.repeat(
-            np.arange(num_nodes, dtype=np.int32),
-            np.diff(rr.edge_ptr).astype(np.int64),
-        )
         self.csr_dst: np.ndarray = rr.edge_dst[keep].astype(np.int32)
         self.csr_ptr: np.ndarray = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_src[keep], minlength=num_nodes), out=self.csr_ptr[1:])
@@ -193,118 +231,76 @@ class RouterSearchView:
         # congestion-free cost floor and the intrinsic delays.
         self.xs_arr: np.ndarray = rr.node_x.astype(np.int64)
         self.ys_arr: np.ndarray = rr.node_y.astype(np.int64)
-        base = np.empty(num_nodes, dtype=np.float64)
-        for t, c in RR_BASE_COST.items():
-            base[rr.node_type == t] = c
-        self.base_cost: np.ndarray = base
-        delay = np.empty(num_nodes, dtype=np.float64)
-        for t, d in rr_delay_ns(rr.arch).items():
-            delay[rr.node_type == t] = d
-        self.delay_ns: np.ndarray = delay
+        self.base_cost: np.ndarray = _type_table(RR_BASE_COST)[ntype]
+        self.delay_ns: np.ndarray = _type_table(rr_delay_ns(rr.arch))[ntype]
 
-        # The Python twin walks the same filtered adjacency as Python lists;
-        # slice them out of the CSR just built.
-        ptr = self.csr_ptr.tolist()
-        dst = self.csr_dst.tolist()
-        self.adj_search: List[List[int]] = [
-            dst[ptr[i]: ptr[i + 1]] for i in range(num_nodes)
-        ]
-
-        # Reverse CSR (for per-sink entry maps, built lazily below).
-        order = np.argsort(rr.edge_dst, kind="stable")
-        self._rev_src = np.repeat(
-            np.arange(rr.num_nodes, dtype=np.int32),
-            np.diff(rr.edge_ptr).astype(np.int64),
-        )[order]
-        self._rev_ptr = np.zeros(rr.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rr.edge_dst, minlength=rr.num_nodes), out=self._rev_ptr[1:])
+        # Entry maps of every sink, from the two-hop reverse edges
+        # wire -> pin -> sink.  hop1 lists the pin -> sink edges by edge
+        # index: sorted by pin, and within one sink in the order of its
+        # in-edges, so an index into hop1 is a pin's rank.  hop2 lists the
+        # wire -> pin edges into those pins; each joins the run
+        # hop1[pin_first[pin] : pin_first[pin] + pin_count[pin]].
+        hop1 = np.flatnonzero(dst_type == RRNodeType.SINK)
+        pin1 = edge_src[hop1]
+        pin_count = np.bincount(pin1, minlength=num_nodes)
+        pin_first = np.cumsum(pin_count) - pin_count
+        hop2 = np.flatnonzero(pin_count[rr.edge_dst])
+        pin2 = rr.edge_dst[hop2]
+        count = pin_count[pin2]
+        starts = np.cumsum(count) - count
+        rank = np.repeat(pin_first[pin2] - starts, count) + np.arange(int(count.sum()))
+        sink = rr.edge_dst[hop1][rank]
+        wire = edge_src[np.repeat(hop2, count)]
+        # Sort by (sink, wire, rank); sink and wire share one int64 key.
+        order = np.lexsort((rank, sink.astype(np.int64) * num_nodes + wire))
+        sink, wire = sink[order], wire[order]
+        self._entry_ipin: np.ndarray = pin1[rank[order]].astype(np.int64)
+        # One group per (sink, wire) pair; per sink, a run of groups.
+        first = np.flatnonzero(
+            np.concatenate(([len(sink) > 0], (sink[1:] != sink[:-1]) | (wire[1:] != wire[:-1])))
+        )
+        self._group_wire: np.ndarray = wire[first].astype(np.int64)
+        self._group_ptr: np.ndarray = np.append(first, len(sink)).astype(np.int64)
+        self._sink_ptr: np.ndarray = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sink[first], minlength=num_nodes), out=self._sink_ptr[1:])
         self._entries: Dict[int, Dict[int, List[int]]] = {}
         self._entry_csr: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _in_edges(self, node: int) -> List[int]:
-        lo, hi = int(self._rev_ptr[node]), int(self._rev_ptr[node + 1])
-        return self._rev_src[lo:hi].tolist()
-
-    def entries_of(self, sink: int) -> Dict[int, List[int]]:
-        """Map ``wire -> [ipins]`` of every wire that can enter ``sink``."""
-        entry = self._entries.get(sink)
-        if entry is None:
-            entry = {}
-            for ipin in self._in_edges(sink):
-                for wire in self._in_edges(ipin):
-                    entry.setdefault(wire, []).append(ipin)
-            self._entries[sink] = entry
-        return entry
+    @functools.cached_property
+    def adj_search(self) -> List[List[int]]:
+        """Filtered adjacency as per-node Python lists (the Python twin's layout)."""
+        ptr = self.csr_ptr.tolist()
+        dst = self.csr_dst.tolist()
+        return [dst[ptr[i]: ptr[i + 1]] for i in range(self.rr.num_nodes)]
 
     def entry_csr(self, sink: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entry map of ``sink`` as a wire-sorted CSR for the native kernel.
 
         ``(wires, ptr, ipins)``: ``wires`` is the sorted unique wire set, and
         ``ipins[ptr[i]:ptr[i + 1]]`` lists that wire's feasible entry pins in
-        the same order as :meth:`entries_of` (the first-minimum tie-break of
-        the completion scan depends on that order).  Sorted wires let the C
+        the order of the sink's in-edges (the first-minimum tie-break of the
+        completion scan depends on that order).  Sorted wires let the C
         kernel binary-search during expansion instead of hashing.
         """
         csr = self._entry_csr.get(sink)
         if csr is None:
-            entry = self.entries_of(sink)
-            wires = np.asarray(sorted(entry), dtype=np.int64)
-            ptr = np.zeros(len(wires) + 1, dtype=np.int64)
-            ipins: List[int] = []
-            for i, wire in enumerate(wires.tolist()):
-                ipins.extend(entry[wire])
-                ptr[i + 1] = len(ipins)
-            csr = (wires, ptr, np.asarray(ipins, dtype=np.int64))
+            g0, g1 = int(self._sink_ptr[sink]), int(self._sink_ptr[sink + 1])
+            ptr = self._group_ptr[g0 : g1 + 1]
+            lo = int(ptr[0])
+            csr = (self._group_wire[g0:g1], ptr - lo, self._entry_ipin[lo : int(ptr[-1])])
             self._entry_csr[sink] = csr
         return csr
 
-
-class _Builder:
-    """Incremental RR-graph builder."""
-
-    def __init__(self, arch: FPGAArchitecture) -> None:
-        self.arch = arch
-        self.types: List[int] = []
-        self.xs: List[int] = []
-        self.ys: List[int] = []
-        self.tracks: List[int] = []
-        self.caps: List[int] = []
-        self.adj: List[List[int]] = []
-
-    def add_node(self, ntype: int, x: int, y: int, track: int = -1, capacity: int = 1) -> int:
-        self.types.append(ntype)
-        self.xs.append(x)
-        self.ys.append(y)
-        self.tracks.append(track)
-        self.caps.append(capacity)
-        self.adj.append([])
-        return len(self.types) - 1
-
-    def add_edge(self, src: int, dst: int) -> None:
-        self.adj[src].append(dst)
-
-    def add_bidir(self, a: int, b: int) -> None:
-        self.adj[a].append(b)
-        self.adj[b].append(a)
-
-    def finish(self, lookups) -> RRGraph:
-        ptr = np.zeros(len(self.adj) + 1, dtype=np.int64)
-        for i, lst in enumerate(self.adj):
-            ptr[i + 1] = ptr[i] + len(lst)
-        dst = np.empty(int(ptr[-1]), dtype=np.int32)
-        for i, lst in enumerate(self.adj):
-            dst[ptr[i] : ptr[i + 1]] = lst
-        return RRGraph(
-            arch=self.arch,
-            node_type=np.array(self.types, dtype=np.int8),
-            node_x=np.array(self.xs, dtype=np.int16),
-            node_y=np.array(self.ys, dtype=np.int16),
-            node_track=np.array(self.tracks, dtype=np.int16),
-            node_capacity=np.array(self.caps, dtype=np.int16),
-            edge_ptr=ptr,
-            edge_dst=dst,
-            **lookups,
-        )
+    def entries_of(self, sink: int) -> Dict[int, List[int]]:
+        """Map ``wire -> [ipins]`` of every wire that can enter ``sink``."""
+        entry = self._entries.get(sink)
+        if entry is None:
+            wires, ptr, ipins = self.entry_csr(sink)
+            p = ptr.tolist()
+            ips = ipins.tolist()
+            entry = {w: ips[p[i] : p[i + 1]] for i, w in enumerate(wires.tolist())}
+            self._entries[sink] = entry
+        return entry
 
 
 def _track_subset(channel_width: int, fraction: float) -> List[int]:
@@ -316,124 +312,163 @@ def _track_subset(channel_width: int, fraction: float) -> List[int]:
     return sorted({int(i * step) % channel_width for i in range(count)})
 
 
+def _grid(*axes: np.ndarray) -> List[np.ndarray]:
+    """Flattened ``ij`` mesh of ``axes``: the first axis varies slowest."""
+    return [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+
+
 def build_rr_graph(arch: FPGAArchitecture) -> RRGraph:
-    """Build the routing-resource graph for an architecture."""
-    b = _Builder(arch)
+    """Build the routing-resource graph for an architecture.
+
+    Node ids and per-row edge order follow the invariants in the module
+    docstring.  Each node block and edge family is one set of index
+    arrays; the CSR is one stable sort of all edges on their source.
+    """
     W = arch.channel_width
     width, height = arch.width, arch.height
+    L = arch.lut_inputs
+    tracks = np.arange(W)
 
-    # ---- channel wires -------------------------------------------------------
-    # CHANX(x, y, t): horizontal wire at channel y (0..height), column x (1..width)
-    chanx: Dict[Tuple[int, int, int], int] = {}
-    for y in range(0, height + 1):
-        for x in range(1, width + 1):
-            for t in range(W):
-                chanx[(x, y, t)] = b.add_node(RRNodeType.CHANX, x, y, t)
-    # CHANY(x, y, t): vertical wire at channel x (0..width), row y (1..height)
-    chany: Dict[Tuple[int, int, int], int] = {}
-    for x in range(0, width + 1):
-        for y in range(1, height + 1):
-            for t in range(W):
-                chany[(x, y, t)] = b.add_node(RRNodeType.CHANY, x, y, t)
+    # ---- node ids in closed form -------------------------------------------------
+    num_chanx = (height + 1) * width * W
+    num_chany = (width + 1) * height * W
+    clb_stride = 3 + L
+    clb_base = num_chanx + num_chany
+    num_clb = width * height
+    io_base = clb_base + num_clb * clb_stride
 
-    # ---- switch blocks (disjoint / subset topology) ---------------------------
-    for i in range(0, width + 1):
-        for j in range(0, height + 1):
-            for t in range(W):
-                incident = []
-                if i >= 1:
-                    incident.append(chanx[(i, j, t)])          # wire ending at SB from the left
-                if i + 1 <= width:
-                    incident.append(chanx[(i + 1, j, t)])      # wire leaving SB to the right
-                if j >= 1:
-                    incident.append(chany[(i, j, t)])          # wire from below
-                if j + 1 <= height:
-                    incident.append(chany[(i, j + 1, t)])      # wire to above
-                for a_idx in range(len(incident)):
-                    for b_idx in range(a_idx + 1, len(incident)):
-                        b.add_bidir(incident[a_idx], incident[b_idx])
+    def chanx(x, y, t):
+        """CHANX(x, y, t): horizontal wire at channel y (0..height), column x (1..width)."""
+        return (y * width + x - 1) * W + t
 
-    # ---- logic blocks ----------------------------------------------------------
-    clb_source: Dict[Tuple[int, int], int] = {}
-    clb_sink: Dict[Tuple[int, int], int] = {}
-    clb_opin: Dict[Tuple[int, int], int] = {}
-    out_tracks = _track_subset(W, arch.fc_out)
-    in_tracks = _track_subset(W, arch.fc_in)
+    def chany(x, y, t):
+        """CHANY(x, y, t): vertical wire at channel x (0..width), row y (1..height)."""
+        return num_chanx + (x * height + y - 1) * W + t
 
-    def adjacent_channels(x: int, y: int) -> List[int]:
-        """Wire nodes of the four channels around a logic block, all tracks."""
-        nodes = []
-        for t in range(W):
-            nodes.append(chanx[(x, y, t)])       # channel above
-            nodes.append(chanx[(x, y - 1, t)])   # channel below
-            nodes.append(chany[(x, y, t)])       # channel to the right
-            nodes.append(chany[(x - 1, y, t)])   # channel to the left
-        return nodes
+    io_xs, io_ys, io_subs = np.array(
+        [(s.x, s.y, s.subtile) for s in arch.io_sites()], dtype=np.int64
+    ).reshape(-1, 3).T
+    num_io = len(io_xs)
+    num_nodes = io_base + 4 * num_io
 
-    def adjacent_tracks(x: int, y: int, tracks: List[int]) -> List[int]:
-        nodes = []
-        for t in tracks:
-            nodes.append(chanx[(x, y, t)])
-            nodes.append(chanx[(x, y - 1, t)])
-            nodes.append(chany[(x, y, t)])
-            nodes.append(chany[(x - 1, y, t)])
-        return nodes
+    # ---- node attributes ---------------------------------------------------------
+    xy, xx, xt = _grid(np.arange(height + 1), np.arange(1, width + 1), tracks)
+    yx, yy, yt = _grid(np.arange(width + 1), np.arange(1, height + 1), tracks)
+    clb_x, clb_y = _grid(np.arange(1, width + 1), np.arange(1, height + 1))
+    clb_kinds = [RRNodeType.SOURCE, RRNodeType.OPIN, RRNodeType.SINK] + [RRNodeType.IPIN] * L
+    clb_caps = [1, 1, L] + [1] * L
+    io_kinds = [RRNodeType.SOURCE, RRNodeType.OPIN, RRNodeType.IPIN, RRNodeType.SINK]
 
-    for x in range(1, width + 1):
-        for y in range(1, height + 1):
-            src = b.add_node(RRNodeType.SOURCE, x, y)
-            opin = b.add_node(RRNodeType.OPIN, x, y)
-            sink = b.add_node(RRNodeType.SINK, x, y, capacity=arch.lut_inputs)
-            b.add_edge(src, opin)
-            clb_source[(x, y)] = src
-            clb_opin[(x, y)] = opin
-            clb_sink[(x, y)] = sink
-            for wire in adjacent_tracks(x, y, out_tracks):
-                b.add_edge(opin, wire)
-            for pin in range(arch.lut_inputs):
-                ipin = b.add_node(RRNodeType.IPIN, x, y)
-                b.add_edge(ipin, sink)
-                for wire in adjacent_tracks(x, y, in_tracks):
-                    b.add_edge(wire, ipin)
+    node_type = np.concatenate((
+        np.full(num_chanx, RRNodeType.CHANX),
+        np.full(num_chany, RRNodeType.CHANY),
+        np.tile(clb_kinds, num_clb),
+        np.tile(io_kinds, num_io),
+    )).astype(np.int8)
+    node_x = np.concatenate((xx, yx, np.repeat(clb_x, clb_stride), np.repeat(io_xs, 4)))
+    node_y = np.concatenate((xy, yy, np.repeat(clb_y, clb_stride), np.repeat(io_ys, 4)))
+    node_track = np.concatenate((
+        xt, yt, np.full(num_clb * clb_stride, -1), np.repeat(io_subs, 4)
+    ))
+    node_capacity = np.concatenate((
+        np.ones(num_chanx + num_chany, dtype=np.int64),
+        np.tile(clb_caps, num_clb),
+        np.ones(4 * num_io, dtype=np.int64),
+    ))
 
-    # ---- IO pads ----------------------------------------------------------------
-    io_source: Dict[Tuple[int, int, int], int] = {}
-    io_sink: Dict[Tuple[int, int, int], int] = {}
+    # ---- switch blocks (disjoint / subset topology) --------------------------------
+    # Per (i, j, t): the incident wires left, right, below, above (where they
+    # exist) and every pair (a, b), a before b, as a -> b then b -> a.
+    si, sj, st = _grid(np.arange(width + 1), np.arange(height + 1), tracks)
+    incident = np.stack(
+        (chanx(si, sj, st), chanx(si + 1, sj, st), chany(si, sj, st), chany(si, sj + 1, st)),
+        axis=1,
+    )
+    present = np.stack((si >= 1, si + 1 <= width, sj >= 1, sj + 1 <= height), axis=1)
+    first_of_pair, second_of_pair = np.triu_indices(4, k=1)
+    a, b = incident[:, first_of_pair], incident[:, second_of_pair]
+    pair = np.repeat(
+        (present[:, first_of_pair] & present[:, second_of_pair])[:, :, None], 2, axis=2
+    )
+    sb_src = np.stack((a, b), axis=2)[pair]
+    sb_dst = np.stack((b, a), axis=2)[pair]
 
-    def io_channel_nodes(x: int, y: int) -> List[int]:
-        """Wire nodes of the single channel adjacent to a perimeter IO location."""
-        nodes = []
-        for t in range(W):
-            if y == 0:
-                nodes.append(chanx[(x, 0, t)])
-            elif y == height + 1:
-                nodes.append(chanx[(x, height, t)])
-            elif x == 0:
-                nodes.append(chany[(0, y, t)])
-            else:  # x == width + 1
-                nodes.append(chany[(width, y, t)])
-        return nodes
+    # ---- logic blocks -------------------------------------------------------------
+    clb_src = clb_base + np.arange(num_clb) * clb_stride
+    opin, sink = clb_src + 1, clb_src + 2
+    ipin = clb_src[:, None] + 3 + np.arange(L)  # (block, pin)
 
-    for site in arch.io_sites():
-        x, y, sub = site.x, site.y, site.subtile
-        src = b.add_node(RRNodeType.SOURCE, x, y, track=sub)
-        opin = b.add_node(RRNodeType.OPIN, x, y, track=sub)
-        ipin = b.add_node(RRNodeType.IPIN, x, y, track=sub)
-        sink = b.add_node(RRNodeType.SINK, x, y, track=sub)
-        b.add_edge(src, opin)
-        b.add_edge(ipin, sink)
-        for wire in io_channel_nodes(x, y):
-            b.add_edge(opin, wire)
-            b.add_edge(wire, ipin)
-        io_source[(x, y, sub)] = src
-        io_sink[(x, y, sub)] = sink
+    def adjacent_tracks(track_list: List[int]) -> np.ndarray:
+        """Per block, the wires of the listed tracks: above, below, right, left."""
+        t = np.asarray(track_list)[None, :]
+        x, y = clb_x[:, None], clb_y[:, None]
+        wires = (chanx(x, y, t), chanx(x, y - 1, t), chany(x, y, t), chany(x - 1, y, t))
+        return np.stack(wires, axis=2).reshape(num_clb, -1)
 
-    return b.finish(
-        dict(
-            clb_source=clb_source,
-            clb_sink=clb_sink,
-            clb_opin=clb_opin,
-            io_source=io_source,
-            io_sink=io_sink,
-        )
+    out_wires = adjacent_tracks(_track_subset(W, arch.fc_out))
+    in_wires = adjacent_tracks(_track_subset(W, arch.fc_in))
+    fan_in = in_wires.shape[1]
+    # Per pin: ipin -> sink, then every input wire -> ipin.
+    pin_src = np.concatenate(
+        (ipin[:, :, None], np.broadcast_to(in_wires[:, None, :], (num_clb, L, fan_in))), axis=2
+    )
+    pin_dst = np.concatenate(
+        (np.broadcast_to(sink[:, None, None], (num_clb, L, 1)),
+         np.broadcast_to(ipin[:, :, None], (num_clb, L, fan_in))),
+        axis=2,
+    )
+    blk_src = np.concatenate((
+        clb_src[:, None],
+        np.broadcast_to(opin[:, None], out_wires.shape),
+        pin_src.reshape(num_clb, -1),
+    ), axis=1).ravel()
+    blk_dst = np.concatenate(
+        (opin[:, None], out_wires, pin_dst.reshape(num_clb, -1)), axis=1
+    ).ravel()
+
+    # ---- IO pads ------------------------------------------------------------------
+    io_src = io_base + 4 * np.arange(num_io)
+    io_opin, io_ipin, io_sink = io_src + 1, io_src + 2, io_src + 3
+    x, y, t = io_xs[:, None], io_ys[:, None], tracks[None, :]
+    # The single channel adjacent to the perimeter location, all tracks.
+    channel = np.where(
+        y == 0, chanx(x, 0, t),
+        np.where(y == height + 1, chanx(x, height, t),
+                 np.where(x == 0, chany(0, y, t), chany(width, y, t))),
+    )
+    # Per site: src -> opin, ipin -> sink, then per track opin -> wire, wire -> ipin.
+    pad_src = np.concatenate((
+        io_src[:, None], io_ipin[:, None],
+        np.stack((np.broadcast_to(io_opin[:, None], channel.shape), channel), axis=2)
+        .reshape(num_io, -1),
+    ), axis=1).ravel()
+    pad_dst = np.concatenate((
+        io_opin[:, None], io_sink[:, None],
+        np.stack((channel, np.broadcast_to(io_ipin[:, None], channel.shape)), axis=2)
+        .reshape(num_io, -1),
+    ), axis=1).ravel()
+
+    # ---- CSR: one stable sort keeps each row in enumeration order ------------------
+    src = np.concatenate((sb_src, blk_src, pad_src))
+    dst = np.concatenate((sb_dst, blk_dst, pad_dst))
+    order = np.argsort(src, kind="stable")
+    edge_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=edge_ptr[1:])
+
+    clb_keys = list(zip(clb_x.tolist(), clb_y.tolist()))
+    io_keys = list(zip(io_xs.tolist(), io_ys.tolist(), io_subs.tolist()))
+    return RRGraph(
+        arch=arch,
+        node_type=node_type,
+        node_x=node_x.astype(np.int16),
+        node_y=node_y.astype(np.int16),
+        node_track=node_track.astype(np.int16),
+        node_capacity=node_capacity.astype(np.int16),
+        edge_ptr=edge_ptr,
+        edge_dst=dst[order].astype(np.int32),
+        clb_source=dict(zip(clb_keys, clb_src.tolist())),
+        clb_sink=dict(zip(clb_keys, sink.tolist())),
+        clb_opin=dict(zip(clb_keys, opin.tolist())),
+        io_source=dict(zip(io_keys, io_src.tolist())),
+        io_sink=dict(zip(io_keys, io_sink.tolist())),
     )

@@ -287,6 +287,10 @@ class _Span:
         self._t0 = time.perf_counter_ns()
         return self
 
+    def annotate(self, **args: Any) -> None:
+        """Add ``args`` to the span's payload (for values known only at the end)."""
+        self._args.update(args)
+
     def __exit__(self, *exc: Any) -> bool:
         t1 = time.perf_counter_ns()
         tracer = self._tracer
@@ -308,6 +312,9 @@ class _NullSpan:
 
     def __enter__(self) -> "_NullSpan":
         return self
+
+    def annotate(self, **args: Any) -> None:
+        pass
 
     def __exit__(self, *exc: Any) -> bool:
         return False
@@ -351,7 +358,8 @@ def span(name: str, **args: Any) -> Union[_Span, _NullSpan]:
     Disabled (no tracer installed, no ``REPRO_TRACE``), this is a single
     global load plus a ``None`` compare returning a shared no-op context
     manager -- cheap enough for per-iteration use inside PathFinder.
-    Keyword ``args`` become the span's Chrome-trace ``args`` payload.
+    Keyword ``args`` become the span's Chrome-trace ``args`` payload;
+    ``with span(...) as s: ... s.annotate(k=v)`` adds results to it.
     """
     tracer = _ACTIVE
     if tracer is None:

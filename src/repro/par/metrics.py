@@ -27,6 +27,7 @@ import numpy as np
 from ..fpga.architecture import FPGAArchitecture
 from ..fpga.device import Device, build_device
 from ..fpga.routing_graph import RRNodeType
+from ..obs.trace import span, traced
 from ..util.resilience import FaultInjected, inject, record_event
 from .cache import PaRCache
 from .netlist import PhysicalNetlist
@@ -144,6 +145,7 @@ def _interior_points(lo: int, hi: int, count: int) -> List[int]:
     return sorted({lo + ((hi - lo) * (i + 1)) // (count + 1) for i in range(count)})
 
 
+@traced("par.mincw")
 def minimum_channel_width(
     netlist: PhysicalNetlist,
     placement: Placement,
@@ -217,6 +219,15 @@ def minimum_channel_width(
                 value["iterations"] = iterations
             cache.put(key, value, events=events)
 
+    def probe(task: Tuple, outcome: Optional[Tuple] = None) -> None:
+        """Record one width under its probe span; route it here unless a
+        pool worker already did."""
+        with span("par.mincw.probe", width=task[3]) as probe_span:
+            if outcome is None:
+                outcome = _route_width_task(task)
+            probe_span.annotate(converged=outcome[1], iterations=outcome[4])
+            record(*outcome)
+
     def evaluate(widths: List[int]) -> None:
         """Route every not-yet-attempted width, via cache/pool when possible."""
         todo = []
@@ -234,14 +245,18 @@ def minimum_channel_width(
                 )
                 hit = cache.get(key, events=events)
                 if hit is not None:
-                    record(
-                        w,
-                        bool(hit["success"]),
-                        int(hit["wirelength"]),
-                        timing=hit.get("timing"),
-                        iterations=hit.get("iterations"),
-                        from_cache=True,
-                    )
+                    with span(
+                        "par.mincw.probe", width=w, cached=True,
+                        converged=bool(hit["success"]), iterations=hit.get("iterations"),
+                    ):
+                        record(
+                            w,
+                            bool(hit["success"]),
+                            int(hit["wirelength"]),
+                            timing=hit.get("timing"),
+                            iterations=hit.get("iterations"),
+                            from_cache=True,
+                        )
                     continue
             todo.append(w)
         if not todo:
@@ -255,7 +270,7 @@ def minimum_channel_width(
                 ]
                 for future, task in futures:
                     try:
-                        record(*future.result())
+                        outcome = future.result()
                     except Exception as exc:
                         # Worker crash (BrokenProcessPool), injected fault,
                         # or a genuine routing error: defer to the serial
@@ -264,13 +279,15 @@ def minimum_channel_width(
                                      width=task[3],
                                      error=f"{type(exc).__name__}: {exc}")
                         failed.append(task)
+                        continue
+                    probe(task, outcome)
             if failed:
                 record_event(events, "serial-resubmit", site="cw.probe",
                              widths=[t[3] for t in failed])
         else:
             failed = tasks
         for task in failed:
-            record(*_route_width_task(task))
+            probe(task)
 
     # Ensure the upper bound routes; widen if necessary.
     hi = high

@@ -392,9 +392,7 @@ def _route_astar(
 
     xs, ys = view.xs, view.ys
     types = view.types
-    adj = view.adj_search
     cap = view.capacity
-    entries_of = view.entries_of
     occupancy = [0] * num_nodes
 
     src_of, sink_of = terminal_rr_nodes(netlist, placement, rr)
@@ -452,6 +450,10 @@ def _route_astar(
         )
         entry_csr = view.entry_csr
     else:
+        # The Python twin walks per-node lists and per-sink dicts; the
+        # view builds them on first use, so native routes never pay for them.
+        adj = view.adj_search
+        entries_of = view.entries_of
         visited_gen = [0] * num_nodes
         cost_so_far = [0.0] * num_nodes
         prev_node = [-1] * num_nodes

@@ -75,7 +75,7 @@ class TestFormat:
         assert fmt.exception_of(fmt.encode(1e-9)) == EXC_ZERO
 
     @given(finite_floats)
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_encode_decode_relative_error(self, value):
         fmt = MEDIUM
         decoded = fmt.decode(fmt.encode(value))
@@ -91,7 +91,7 @@ class TestFormat:
 
 class TestWordArithmetic:
     @given(finite_floats, finite_floats)
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_mul_matches_float(self, a, b):
         fmt = PAPER_FORMAT
         res = fmt.decode(fp_mul(fmt, fmt.encode(a), fmt.encode(b)))
@@ -102,7 +102,7 @@ class TestWordArithmetic:
             assert abs(res - expected) <= abs(expected) * 2.0 ** (-fmt.wf + 2)
 
     @given(finite_floats, finite_floats)
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_add_matches_float(self, a, b):
         fmt = PAPER_FORMAT
         res = fmt.decode(fp_add(fmt, fmt.encode(a), fmt.encode(b)))
@@ -111,7 +111,7 @@ class TestWordArithmetic:
         assert abs(res - expected) <= tol
 
     @given(finite_floats, finite_floats, finite_floats)
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_mac_matches_float(self, acc, x, k):
         fmt = PAPER_FORMAT
         res = fmt.decode(fp_mac(fmt, fmt.encode(acc), fmt.encode(x), fmt.encode(k)))

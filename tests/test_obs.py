@@ -281,6 +281,85 @@ class TestTrajectoryNeutrality:
             assert on.routes[nid].nodes == off.routes[nid].nodes
 
 
+class TestFlowSpans:
+    def test_device_and_mincw_spans(self, tmp_path, monkeypatch):
+        """A min-CW flow traces its device builds and one span per probe."""
+        monkeypatch.delenv("REPRO_PAR_CACHE", raising=False)
+        d = Design("adder")
+        s, co = d.adder(d.input_bus("a", 4), d.input_bus("b", 4))
+        d.output_bus("s", s)
+        d.output_bit("cout", co)
+        network = map_conventional(optimize(d.circuit)[0])
+        kwargs = dict(
+            channel_width=8, placement_effort=0.3, router_iterations=12,
+            find_min_channel_width=True, min_cw_bounds=(2, 12), seed=1,
+        )
+        off = place_and_route(network, **kwargs)
+        path = tmp_path / "flow.jsonl"
+        with tracing(str(path)):
+            on = place_and_route(network, **kwargs)
+
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = [r for r in records if r["type"] == "span"]
+
+        def parent(i):
+            # children close first: a span's parent is the next span of
+            # depth - 1 to close in the same thread
+            me = spans[i]
+            for later in spans[i + 1:]:
+                if (later["pid"], later["tid"]) == (me["pid"], me["tid"]) and (
+                    later["depth"] == me["depth"] - 1
+                ):
+                    return later["name"]
+            return None
+
+        by_name = {}
+        for i, sp in enumerate(spans):
+            by_name.setdefault(sp["name"], []).append((sp, parent(i)))
+
+        attempts = on.min_channel_width.attempts
+        assert [p for _, p in by_name["par.mincw"]] == ["par.flow"]
+        probes = by_name["par.mincw.probe"]
+        assert len(probes) == len(attempts)
+        assert all(p == "par.mincw" for _, p in probes)
+        assert {sp["args"]["width"]: sp["args"]["converged"] for sp, _ in probes} == attempts
+        assert all(sp["args"]["iterations"] >= 1 for sp, _ in probes)
+
+        devices = by_name["fpga.build_device"]
+        assert [p for _, p in devices] == ["par.flow"] + ["par.mincw.probe"] * len(attempts)
+        assert devices[0][0]["args"]["W"] == 8
+        assert sorted(sp["args"]["W"] for sp, _ in devices[1:]) == sorted(attempts)
+        for sp, _ in devices:
+            w = sp["args"]["W"]
+            arch = on.device.arch.with_channel_width(w)
+            assert sp["args"]["side"] == f"{arch.width}x{arch.height}"
+            assert sp["args"]["rr_nodes"] == build_device(arch).rr_graph.num_nodes
+
+        # tracing never changes what the flow computes
+        assert on.min_channel_width == off.min_channel_width
+        assert on.routing.wirelength == off.routing.wirelength
+        assert on.routing.routes.keys() == off.routing.routes.keys()
+        for nid in off.routing.routes:
+            assert on.routing.routes[nid].nodes == off.routing.routes[nid].nodes
+        assert on.timing.critical_path_ns == off.timing.critical_path_ns
+
+        # probes served from a warm cache get their span too
+        from repro.par.cache import PaRCache
+
+        cache = PaRCache(tmp_path / "cache")
+        place_and_route(network, cache=cache, **kwargs)
+        warm_path = tmp_path / "warm.jsonl"
+        with tracing(str(warm_path)):
+            warm = place_and_route(network, cache=cache, **kwargs)
+        warm_probes = [
+            r["args"] for r in map(json.loads, warm_path.read_text().splitlines())
+            if r["type"] == "span" and r["name"] == "par.mincw.probe"
+        ]
+        assert warm.min_channel_width.attempts == attempts
+        assert {a["width"]: a["converged"] for a in warm_probes} == attempts
+        assert len(warm_probes) == len(attempts) and all(a["cached"] for a in warm_probes)
+
+
 class TestTelemetry:
     def test_route_telemetry_shape(self):
         nl = adder_netlist(4)
