@@ -34,16 +34,10 @@ Three comparisons are made:
   routable width: routed ``critical_path_ns`` + ``logic_depth`` of the
   default (wirelength) flow vs ``objective="timing"`` both route-only (same
   placement) and flow-level (the incremental-STA timing-driven placer),
-  plus the measured cost of one criticality update per PathFinder
-  iteration.  Gated by ``check_quality.py``: the timing run must converge,
-  must not regress delay, and must stay inside the wirelength band of the
-  oracle route on its own placement;
-* **retime** -- the PR 5 flat route forest vs the PR 4 per-net dict walk:
-  routed-delay extraction and the per-PathFinder-iteration criticality
-  update, measured dict vs flat both in the steady state (no nets
-  re-routed since the last update; the fragment cache serves every net)
-  and with 5% of the nets freshly re-routed.  Bit-identity of the
-  extracted delays and criticality vectors is asserted and gated;
+  plus the measured cost of one flat-forest criticality update per
+  PathFinder iteration.  Gated by ``check_quality.py``: the timing run
+  must converge, must not regress delay, and must stay inside the
+  wirelength band of the oracle route on its own placement;
 * **native** -- the PR 7 compiled-C kernels (astar expansion loop, batched
   annealer move loop; see ``src/repro/native/``) vs their pure-Python
   twins, warm, same seeds.  Bit-identity of routes and annealing
@@ -96,10 +90,10 @@ from repro.par.flow import timing_driven_placement
 from repro.par.metrics import minimum_channel_width
 from repro.par.netlist import from_mapped_network
 from repro.par.placement import hpwl, place
-from repro.par.routing import NetRoute, route
+from repro.par.routing import route
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
-from repro.timing import analyze, routed_edge_delays
+from repro.timing import analyze
 from repro.timing.sta import CriticalityTracker
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
@@ -117,8 +111,6 @@ PLACE_SPEEDUP_FLOOR = 1.5    #: recorded batched-vs-reference iso-quality floor
 CHANNEL_WIDTH = 12           #: starting point of the routable-width search
 TIMING_DELAY_TARGET = 0.90   #: recorded flow-level delay-ratio target (>=10% better)
 TIMING_WL_BAND = 1.02        #: timing route wirelength vs fast, same placement
-RETIME_SPEEDUP_FLOOR = 3.0   #: flat-vs-dict steady-state retime target (issue 5)
-RETIME_REROUTED_FRACTION = 20  #: 1-in-N nets re-routed in the perturbed retime case
 NATIVE_ASTAR_SPEEDUP_FLOOR = 3.0   #: recorded native-vs-python astar target (issue 7)
 NATIVE_ANNEAL_SPEEDUP_FLOOR = 5.0  #: recorded native-vs-python move-loop target (22.8x measured)
 RECONFIG_CONTEXTS = 24       #: synthetic contexts in the scheduler bench
@@ -350,12 +342,11 @@ def bench_timing(network, netlist, arch, placement, width):
     a_flow = analyze(netlist, flow_route, device, placement=flow_placement)
     fast_on_flow = route(netlist, flow_placement, device, kernel="fast")
 
-    # Cost of one criticality update (route-tree walk + two STA scans),
-    # paid once per PathFinder iteration in timing mode (the dict-walk
-    # baseline; the flat-forest path is benchmarked in bench_retime).
+    # Cost of one criticality update (forest build + delay extraction + two
+    # STA scans), paid once per PathFinder iteration in timing mode.
     tracker = CriticalityTracker(netlist, flow_placement, device)
     t0 = time.perf_counter()
-    tracker.update(flow_route.routes)
+    tracker.update_flat(flow_route.routes)
     crit_update_s = time.perf_counter() - t0
 
     delay_ratio_route = a_route.critical_path_ns / a_base.critical_path_ns
@@ -399,114 +390,6 @@ def bench_timing(network, netlist, arch, placement, width):
         "timing_placement_seconds": place_timing_s,
         "criticality_update_seconds": crit_update_s,
         "ok": ok,
-    }, flow_placement, flow_route
-
-
-def bench_retime(netlist, arch, placement, width):
-    """Flat route forest vs the PR 4 dict walk: extraction + retime cost.
-
-    Both sides do the same semantic work -- exact routed delays out of the
-    route trees, two STA scans, criticalities folded per connection -- and
-    are asserted bit-identical first.  The flat path is measured in the
-    steady state (no nets re-routed since the last update: the per-net
-    fragment cache serves everything and the assembled forest is reused)
-    and with 1-in-``RETIME_REROUTED_FRACTION`` nets freshly re-routed
-    (fragments re-flattened + full reassembly), which brackets what a real
-    PathFinder iteration pays.  Interleaved best-of-N like the routing
-    benches: drifting machine load hits both sides alike.
-    """
-    device = build_device(arch.with_channel_width(width))
-    routing = route(netlist, placement, device, kernel="astar")
-    tracker = CriticalityTracker(netlist, placement, device, exponent=2.0)
-
-    # -- bit-identity first: flat vs dict must agree to the last bit ------
-    flat = tracker.update_flat(routing.routes).copy()
-    legacy = tracker.update(routing.routes)
-    crit_identical = all(
-        flat[tracker.conn_index[key]] == value for key, value in legacy.items()
-    ) and all(
-        flat[cid] == 0.0
-        for key, cid in tracker.conn_index.items()
-        if key not in legacy
-    )
-    graph = tracker.graph
-    fallback = tracker._estimate
-    d_dict, w_dict, p_dict = routed_edge_delays(
-        graph, routing.routes, placement, device, fallback=fallback
-    )
-    d_flat, w_flat, p_flat = routed_edge_delays(
-        graph, routing.routes, placement, device, fallback=fallback,
-        forest=routing.forest,
-    )
-    delays_identical = (
-        np.array_equal(d_dict, d_flat)
-        and np.array_equal(w_dict, w_flat)
-        and np.array_equal(p_dict, p_flat)
-    )
-
-    # Perturbed route sets: every call re-flattens a different 5% slice.
-    net_ids = sorted(routing.routes)
-    rerouted_sets = []
-    for k in range(RETIME_REROUTED_FRACTION):
-        routes = dict(routing.routes)
-        for nid in net_ids[k::RETIME_REROUTED_FRACTION]:
-            old = routes[nid]
-            routes[nid] = NetRoute(old.net_id, old.nodes, connections=old.connections)
-        rerouted_sets.append(routes)
-
-    repeats = 15
-    t_dict = t_steady = t_rerouted = None
-    t_ext_dict = t_ext_flat = None
-    for i in range(repeats):
-        _, dt = _timed(lambda: tracker.update(routing.routes))
-        t_dict = dt if t_dict is None else min(t_dict, dt)
-        _, dt = _timed(lambda: tracker.update_flat(routing.routes))
-        t_steady = dt if t_steady is None else min(t_steady, dt)
-        routes = rerouted_sets[i % len(rerouted_sets)]
-        _, dt = _timed(lambda r=routes: tracker.update_flat(r))
-        t_rerouted = dt if t_rerouted is None else min(t_rerouted, dt)
-        # The perturbed call left the fragment cache keyed on the perturbed
-        # NetRoute objects; re-warm it (untimed) so the next iteration's
-        # steady-state sample measures the truly-steady path.
-        tracker.update_flat(routing.routes)
-        _, dt = _timed(
-            lambda: routed_edge_delays(
-                graph, routing.routes, placement, device, fallback=fallback
-            )
-        )
-        t_ext_dict = dt if t_ext_dict is None else min(t_ext_dict, dt)
-        _, dt = _timed(
-            lambda: routed_edge_delays(
-                graph, routing.routes, placement, device, fallback=fallback,
-                forest=routing.forest,
-            )
-        )
-        t_ext_flat = dt if t_ext_flat is None else min(t_ext_flat, dt)
-
-    steady_speedup = t_dict / t_steady
-    rerouted_speedup = t_dict / t_rerouted
-    extraction_speedup = t_ext_dict / t_ext_flat
-    identical = crit_identical and delays_identical
-    return {
-        "workload": (
-            f"{len(netlist.nets)} nets / {routing.wirelength} wires routed at "
-            f"W={width}; {tracker.num_connections} connections, "
-            f"{graph.num_edges} timing edges"
-        ),
-        "extraction_dict_seconds": t_ext_dict,
-        "extraction_flat_seconds": t_ext_flat,
-        "extraction_speedup": extraction_speedup,
-        "retime_dict_seconds": t_dict,
-        "retime_flat_steady_seconds": t_steady,
-        "retime_flat_rerouted_seconds": t_rerouted,
-        "retime_speedup": steady_speedup,
-        "retime_speedup_rerouted": rerouted_speedup,
-        "rerouted_fraction": 1.0 / RETIME_REROUTED_FRACTION,
-        "speedup_floor": RETIME_SPEEDUP_FLOOR,
-        "speedup_floor_met": steady_speedup >= RETIME_SPEEDUP_FLOOR,
-        "criticality_identical": crit_identical,
-        "delays_identical": delays_identical,
-        "ok": identical and steady_speedup >= RETIME_SPEEDUP_FLOOR,
     }
 
 
@@ -872,11 +755,7 @@ def main() -> int:
     print("benchmarking routing kernels ...")
     routing_result, width = bench_routing(netlist, arch, placement)
     print("benchmarking timing-driven PAR ...")
-    timing_result, flow_placement, _flow_route = bench_timing(
-        network, netlist, arch, placement, width
-    )
-    print("benchmarking flat-forest retime ...")
-    retime_result = bench_retime(netlist, arch, flow_placement, width)
+    timing_result = bench_timing(network, netlist, arch, placement, width)
     print("benchmarking resilient execution path ...")
     resilience_result = bench_resilience(netlist, arch, placement, width)
     print("benchmarking native kernels ...")
@@ -902,7 +781,6 @@ def main() -> int:
             "placement": placement_result,
             "routing": routing_result,
             "timing": timing_result,
-            "retime": retime_result,
             "resilience": resilience_result,
             "native": native_result,
             "reconfig": reconfig_result,
@@ -946,15 +824,6 @@ def main() -> int:
                 f"flow {entry['critical_path_ns_timing_flow']:6.1f}ns "
                 f"(ratio {entry['delay_ratio_flow']:.3f}, "
                 f"wl_band {entry['timing_wl_band_ratio']:.4f})"
-            )
-        elif name == "retime":
-            print(
-                f"{name:11s} {flag} dict {entry['retime_dict_seconds'] * 1000:6.2f}ms -> "
-                f"flat {entry['retime_flat_steady_seconds'] * 1000:5.2f}ms steady / "
-                f"{entry['retime_flat_rerouted_seconds'] * 1000:5.2f}ms rerouted "
-                f"({entry['retime_speedup']:.2f}x / {entry['retime_speedup_rerouted']:.2f}x, "
-                f"extract {entry['extraction_speedup']:.2f}x, "
-                f"identical={entry['criticality_identical'] and entry['delays_identical']})"
             )
         elif name == "resilience":
             print(

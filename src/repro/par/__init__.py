@@ -3,6 +3,7 @@
 from .cache import CacheIOError, PaRCache
 from .flow import (
     PaRResult,
+    TimingReport,
     best_placement,
     cached_route,
     place_and_route,
@@ -18,7 +19,6 @@ from .metrics import (
 from .netlist import Block, Net, PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, hpwl, place, random_placement
 from .routing import NetRoute, RoutingResult, route, route_resilient
-from .timing import TimingReport, analyze_timing
 
 __all__ = [
     "PaRCache",
@@ -48,5 +48,4 @@ __all__ = [
     "RoutingResult",
     "route",
     "TimingReport",
-    "analyze_timing",
 ]

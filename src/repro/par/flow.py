@@ -16,8 +16,9 @@ Two parallel/caching facilities ride on top of the single-shot flow:
   minimum-channel-width search (see :mod:`repro.par.metrics`), which is the
   dominant cost of the Table I/II benchmarks.
 
-Since PR 4 the flow also carries the timing axis: every result embeds a
-full STA (:attr:`PaRResult.sta`, from :mod:`repro.timing`) and
+The flow also carries the timing axis: every result embeds a full STA
+(:attr:`PaRResult.sta`, from :mod:`repro.timing`) folded into a
+:class:`TimingReport`, and
 ``objective="timing"`` switches placement and routing to the
 criticality-driven cost functions (:func:`timing_driven_placement`,
 ``route(objective="timing")``).
@@ -45,9 +46,10 @@ from .metrics import MinChannelWidthResult, minimum_channel_width
 from .netlist import PhysicalNetlist, from_mapped_network
 from .placement import Placement, PlacementResult, TimingCost, place
 from .routing import RoutingResult, route_resilient, routing_from_payload, routing_to_payload
-from .timing import TimingReport, report_from_analysis
 
 __all__ = [
+    "TimingReport",
+    "report_from_analysis",
     "PaRResult",
     "place_and_route",
     "cached_route",
@@ -55,6 +57,51 @@ __all__ = [
     "placement_sweep",
     "best_placement",
 ]
+
+
+@dataclass
+class TimingReport:
+    """Critical-path summary."""
+
+    logic_depth: int  #: LUT levels on the longest path
+    critical_path_ns: float  #: delay along the routed critical path
+    mean_net_wirelength: float  #: average wires per routed net
+    max_net_wirelength: int
+
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "logic_depth": self.logic_depth,
+            "critical_path_ns": self.critical_path_ns,
+            "mean_net_wirelength": self.mean_net_wirelength,
+            "max_net_wirelength": self.max_net_wirelength,
+        }
+
+
+def report_from_analysis(
+    analysis: TimingAnalysis,
+    network: MappedNetwork,
+    routing: Optional[RoutingResult],
+    device: Device,
+) -> TimingReport:
+    """Fold a full STA analysis into the :class:`TimingReport` summary.
+
+    ``logic_depth`` comes from the mapped network's own levelization,
+    keeping the Table I depth column bit-compatible even for parameterized
+    networks whose multi-input TCONs are resolved to a single
+    representative wire in the physical netlist.
+    """
+    net_wires = []
+    if routing is not None:
+        rr = device.rr_graph
+        net_wires = [len(r.wire_nodes(rr)) for r in routing.routes.values()]
+    mean_wl = sum(net_wires) / len(net_wires) if net_wires else 0.0
+    max_wl = max(net_wires) if net_wires else 0
+    return TimingReport(
+        logic_depth=network.depth(),
+        critical_path_ns=analysis.critical_path_ns,
+        mean_net_wirelength=mean_wl,
+        max_net_wirelength=max_wl,
+    )
 
 
 @dataclass
@@ -69,8 +116,8 @@ class PaRResult:
     timing: TimingReport
     min_channel_width: Optional[MinChannelWidthResult] = None
     #: full STA over the routed design (arrival/slack/criticality arrays,
-    #: critical-path breakdown); the legacy ``timing`` report above is
-    #: derived from it.
+    #: critical-path breakdown); the ``timing`` report above is derived
+    #: from it.
     sta: Optional[TimingAnalysis] = None
     objective: str = "wirelength"
     #: structured recovery log: every fault hit, retry, cache fallback,

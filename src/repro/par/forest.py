@@ -1,10 +1,7 @@
 """Flat route forest: every net's route tree in one set of int32 arrays.
 
-PR 4's timing feedback loop walked the routers' per-net ``NetRoute`` trees
-with Python dict work -- per-node tuple accumulation in
-``timing/delays.py`` and ``Dict[(net, sink), float]`` criticality maps
-probed per connection.  The :class:`RouteForest` removes those dicts from
-the PAR/timing hot path: the union of all route trees is stored as a flat
+The :class:`RouteForest` is the one representation the timing engine reads
+routes through: the union of all route trees is stored as a flat
 parent-pointer forest (CSR-style, mirroring the router's search view), so
 
 * routed-delay extraction is a handful of NumPy gathers -- one
@@ -22,11 +19,11 @@ parent-pointer forest (CSR-style, mirroring the router's search view), so
 Invariants (what every consumer may rely on, and ``validate()`` /
 ``tests/test_forest.py`` check):
 
-* **Bit-identity with the dict walk.**  The per-level scan performs *the
-  same float additions in the same order* as the legacy dict walk (each
-  node's accumulated delay is one binary add ``acc[parent] + delay[node]``),
-  so routed delays -- and therefore critical-path reports -- are
-  bit-identical to the reference ``_walk_connections`` / ``_walk_bfs``.
+* **Bit-identity with a per-net tree walk.**  Each node's accumulated
+  delay is one binary add ``acc[parent] + delay[node]`` -- the same float
+  additions, in the same order, as walking each net's tree from its SOURCE
+  -- so routed delays and critical-path reports equal the test-local
+  tree-walk oracle in ``tests/test_forest.py`` to the last bit.
 * **Structural soundness.**  ``parent[i]`` is either ``-1`` (child of the
   net's SOURCE) or a position *in the same net's slice*; ``depth`` is
   exactly ``parent``-chain length, so sorting by depth levelizes the scan;
@@ -166,8 +163,8 @@ class RouteForest:
 
         ``vals`` is ``(P, k)``; the scan runs one vector operation per tree
         depth level, performing exactly one binary float add per element --
-        the same association as the legacy per-node dict walk, which keeps
-        the accumulated delays bit-identical to it.
+        the same association as a root-to-leaf tree walk, which keeps the
+        accumulated delays bit-identical to one.
         """
         acc = np.zeros_like(vals)
         order, bounds, parent_safe, is_root = self._depth_levels()
@@ -416,9 +413,8 @@ def _fragment_from_conns(source: int, conns) -> _NetFragment:
 def _fragment_from_tree(source: int, nodes, rr) -> _NetFragment:
     """Fragment from a plain node-list tree (the ``fast`` kernel).
 
-    BFS over the RR adjacency restricted to the tree's nodes, exactly like
-    the legacy ``_walk_bfs``; every SINK node in the tree becomes one
-    connection (path segments are not recoverable, so the connection
+    BFS over the RR adjacency restricted to the tree's nodes; every SINK
+    node in the tree becomes one connection (path segments are not recoverable, so the connection
     slices stay empty for these).
     """
     f = _NetFragment(source)
@@ -460,8 +456,8 @@ def build_route_forest(
 
     Trees that carry the directed kernels' connection lists are imported
     exactly (segment structure preserved); plain node-list trees fall back
-    to a BFS over the RR adjacency, which recovers the same parent
-    structure the legacy delay walk traversed.
+    to a BFS over the RR adjacency, which recovers each tree's parent
+    structure.
 
     ``cache`` makes repeated builds *incremental*: per-net fragments are
     memoized against the identity of each net's ``NetRoute`` object, which

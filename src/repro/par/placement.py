@@ -12,11 +12,11 @@ Two annealing kernels live behind :func:`place`:
   of pins on each boundary, a move updates affected nets in O(1) and only a
   *boundary shrink* (the last pin leaves a bbox edge) triggers a rescan of
   that net's pins.  All randomness is drawn in blocks from a
-  ``numpy.random.Generator(PCG64)``.  This kernel also accepts per-net
-  weights (``net_weights``) and the per-connection timing term
-  (``timing``), the seams the timing-driven flow uses.  When the native
-  backend is available (see :mod:`repro.native`) the move loop runs as
-  compiled C over the same flat arrays and PCG64 stream; the pure-Python
+  ``numpy.random.Generator(PCG64)``.  This kernel also accepts the
+  per-connection timing term (``timing``), the seam the timing-driven flow
+  uses.  When the native backend is available (see :mod:`repro.native`)
+  the move loop runs as compiled C over the same flat arrays and PCG64
+  stream; the pure-Python
   loop is its twin for ``REPRO_NATIVE=0``.  Trajectories are bit-identical
   between the two, so results and caches are backend-independent.
 * ``kernel="reference"`` -- the slow, obviously-correct oracle: it
@@ -118,9 +118,10 @@ class PlacementResult:
     moves_attempted: int
     moves_accepted: int
     temperature_steps: int
-    #: final value of the weighted annealing objective when ``net_weights``
-    #: were supplied (quantized-integer sum of weight * HPWL); ``None`` for
-    #: plain HPWL annealing, where it would equal ``cost``.
+    #: final value of the timing-driven annealing objective when ``timing``
+    #: was supplied (``Q * HPWL + sum_c w_c * dist_c``, see
+    #: :class:`TimingCost`); ``None`` for plain HPWL annealing, where it
+    #: would equal ``cost``.
     objective_cost: Optional[int] = None
     #: per-run observability snapshot (see OBSERVABILITY.md): the annealing
     #: schedule as parallel flat arrays -- ``temperature`` / ``cost`` /
@@ -260,7 +261,6 @@ def place(
     effort: float = 1.0,
     inner_num: float = 1.0,
     kernel: str = "batched",
-    net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
     """Simulated-annealing placement (TPLACE).
@@ -271,56 +271,27 @@ def place(
     ``batched`` (default) is the production kernel, ``reference`` the slow
     oracle its quality is banded against.
 
-    ``net_weights`` (``batched`` kernel only) anneals the weighted objective
-    ``sum(weight_i * hpwl_i)`` instead of plain HPWL -- the timing-driven
-    flow passes ``1 + tradeoff * criticality`` per net so critical nets are
-    pulled shorter.  Weights are quantized to integers (see
-    :func:`_quantize_weights`), keeping the cost accounting exact;
-    :attr:`PlacementResult.cost` still reports the *unweighted* integer HPWL
-    and the weighted objective lands in
+    ``timing`` (``batched`` kernel only) switches the anneal to the
+    incremental-STA objective: HPWL plus a per-connection
+    ``criticality * distance`` term whose criticalities are re-timed from
+    the live coordinates inside the annealing loop (see
+    :class:`TimingCost`).  :attr:`PlacementResult.cost` still reports the
+    plain integer HPWL and the annealed objective lands in
     :attr:`PlacementResult.objective_cost`.
-
-    ``timing`` (``batched`` kernel only, exclusive with ``net_weights``)
-    switches the anneal to the incremental-STA objective: plain HPWL plus a
-    per-connection ``criticality * distance`` term whose criticalities are
-    re-timed from the live coordinates inside the annealing loop (see
-    :class:`TimingCost`).
     """
-    if net_weights is not None and kernel != "batched":
-        raise ValueError("net_weights requires the batched placement kernel")
     if timing is not None and kernel != "batched":
         raise ValueError("timing requires the batched placement kernel")
-    if timing is not None and net_weights is not None:
-        raise ValueError("timing and net_weights are mutually exclusive")
     if kernel == "reference":
         return _place_reference(netlist, arch, seed=seed, effort=effort, inner_num=inner_num)
     if kernel == "batched":
         return _place_batched(
             netlist, arch, seed=seed, effort=effort, inner_num=inner_num,
-            net_weights=net_weights, timing=timing,
+            timing=timing,
         )
     raise ValueError(f"unknown placement kernel {kernel!r}")
 
 
-_WEIGHT_QUANTUM = 8  #: integer sub-steps per unit of net weight
-
-
-def _quantize_weights(net_weights: Sequence[float], num_nets: int) -> List[int]:
-    """Net weights as positive integers (``_WEIGHT_QUANTUM`` steps per unit).
-
-    Integer weights keep the weighted annealing objective an exact integer
-    -- the same no-float-drift guarantee the plain-HPWL kernels carry.  The
-    quantization error is below ``1 / (2 * _WEIGHT_QUANTUM)`` per unit
-    weight, well under the noise floor of the annealer.
-    """
-    if len(net_weights) != num_nets:
-        raise ValueError(
-            f"net_weights has {len(net_weights)} entries for {num_nets} nets"
-        )
-    q = [max(1, round(float(w) * _WEIGHT_QUANTUM)) for w in net_weights]
-    if min(net_weights) < 0:
-        raise ValueError("net weights must be non-negative")
-    return q
+_WEIGHT_QUANTUM = 8  #: integer sub-steps per unit of criticality weight
 
 
 def _csr_i64(lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,7 +311,6 @@ def _place_batched(
     seed: int = 0,
     effort: float = 1.0,
     inner_num: float = 1.0,
-    net_weights: Optional[Sequence[float]] = None,
     timing: Optional[TimingCost] = None,
 ) -> PlacementResult:
     """Incremental-bbox annealer fed by block-drawn PCG64 randomness.
@@ -353,15 +323,11 @@ def _place_batched(
     The initial placement still comes from :func:`random_placement` with the
     same seed, so a (netlist, arch, seed) triple is fully reproducible.
 
-    With ``net_weights`` the annealed objective is the quantized-integer
-    weighted HPWL (see :func:`_quantize_weights`); every bbox update below
-    simply scales its net's cost by the integer weight, so the O(1) move
-    accounting is unchanged.  With ``timing`` the objective is instead
-    ``Q * HPWL + sum_c w_c * dist_c`` over the timing graph's connections
-    (see :class:`TimingCost`): each move additionally re-prices the moved
-    blocks' connections -- O(pins moved), exactly like the bbox updates --
-    and the integer criticality weights ``w_c`` are re-timed in place every
-    ``retime_every`` accepted moves.
+    With ``timing`` the objective is ``Q * HPWL + sum_c w_c * dist_c`` over
+    the timing graph's connections (see :class:`TimingCost`): each move
+    additionally re-prices the moved blocks' connections -- O(pins moved),
+    exactly like the bbox updates -- and the integer criticality weights
+    ``w_c`` are re-timed in place every ``retime_every`` accepted moves.
 
     When :func:`repro.native.annealer.annealer_kernel` returns a compiled
     kernel, the per-move loop runs in C over the same flat state (see the
@@ -371,15 +337,9 @@ def _place_batched(
     gen = np.random.Generator(np.random.PCG64(seed))
     placement = random_placement(netlist, arch, seed=seed)
     num_nets = len(netlist.nets)
-    weighted = net_weights is not None
-    if timing is not None:
-        # Scale the HPWL term by the weight quantum so the quantized
-        # integer timing weights blend at the configured tradeoff.
-        wq = [_WEIGHT_QUANTUM] * num_nets
-    elif weighted:
-        wq = _quantize_weights(net_weights, num_nets)
-    else:
-        wq = [1] * num_nets
+    # Per-net HPWL scale: under ``timing`` the weight quantum, so the
+    # quantized integer timing weights blend at the configured tradeoff.
+    wq = [_WEIGHT_QUANTUM if timing is not None else 1] * num_nets
 
     logic_blocks = [b.id for b in netlist.blocks if b.needs_logic_site]
     io_blocks = [b.id for b in netlist.blocks if b.kind == "io"]
@@ -429,8 +389,7 @@ def _place_batched(
         net_cost.append(cost)
         total_cost += cost
     initial_cost = total_cost
-    weighted = weighted or timing is not None
-    initial_hpwl = hpwl(netlist, placement) if weighted else initial_cost
+    initial_hpwl = hpwl(netlist, placement) if timing is not None else initial_cost
     nets_of_block_set = [set(lst) for lst in nets_of_block]
 
     groups: List[Tuple[List[int], List[int], int, int]] = []
@@ -962,9 +921,9 @@ def _place_batched(
         # Full counter out-param snapshot from the C kernel (see
         # repro.native.annealer.istate_counters).
         telemetry["istate"] = istate_snapshot
-    if weighted:
-        # Report the unweighted exact-int HPWL (the metric every consumer
-        # compares across kernels); the annealed weighted objective rides
+    if timing is not None:
+        # Report the plain exact-int HPWL (the metric every consumer
+        # compares across kernels); the annealed timing objective rides
         # along separately.
         return PlacementResult(
             placement=placement,

@@ -8,25 +8,28 @@ The subsystem has three layers:
   the arrival/required scans run as a handful of vector operations per
   level.
 * :mod:`repro.timing.delays` -- connection-delay extraction: exact per-sink
-  delays (and wire/switch/pin element counts) walked out of the router's
-  route trees against the architecture's per-resource delay model
-  (:func:`repro.fpga.routing_graph.rr_delay_ns`), with placement-distance
-  and structural estimates as pre-route fallbacks.
+  delays (and wire/switch/pin element counts) out of the flat route forest
+  (:class:`repro.par.forest.RouteForest`) against the architecture's
+  per-resource delay model (:func:`repro.fpga.routing_graph.rr_delay_ns`),
+  with the placement-distance estimate for pre-route timing and for
+  connections without a routed path.
 * :mod:`repro.timing.sta` -- the engine: arrival / required / slack /
   per-connection criticality, full critical-path extraction with a
   per-element (LUT / wire / switch / pin) breakdown, and the
   :class:`~repro.timing.sta.CriticalityTracker` that feeds criticalities
   back into the timing-driven router objective each PathFinder iteration.
 
-:func:`analyze` is the one-call entry point used by the PAR flow and the
-legacy :func:`repro.par.timing.analyze_timing` wrapper.
+:func:`analyze` is the one-call entry point the PAR flow uses; every routed
+delay, final or per-iteration, goes through the same forest scan.
 """
 
+# repro.par.flow imports this package's modules, which import repro.par's
+# submodules: load repro.par first so either import order resolves.
+from .. import par as _par  # noqa: F401
 from .delays import (
     estimated_edge_delays,
     estimated_edge_delays_from_coords,
     routed_edge_delays,
-    structural_edge_delays,
 )
 from .graph import TimingGraph, build_timing_graph
 from .sta import (
@@ -34,9 +37,7 @@ from .sta import (
     CriticalPathElement,
     TimingAnalysis,
     analyze,
-    net_criticality_from_placement,
     scan_edge_criticality,
-    structural_net_criticality,
 )
 
 __all__ = [
@@ -45,12 +46,9 @@ __all__ = [
     "routed_edge_delays",
     "estimated_edge_delays",
     "estimated_edge_delays_from_coords",
-    "structural_edge_delays",
     "TimingAnalysis",
     "CriticalPathElement",
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "structural_net_criticality",
-    "net_criticality_from_placement",
 ]

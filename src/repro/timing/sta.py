@@ -24,10 +24,11 @@ Invariants:
   mapped network's ``depth()`` -- STA reads the same DAG the mapper
   produced, and ``check_quality.py`` fails the benchmark when they
   diverge.
-* **Flat == dict.**  :meth:`CriticalityTracker.update_flat` (the dense
-  ``conn_crit`` vector indexed by connection id) is bit-identical to the
-  dict-returning :meth:`CriticalityTracker.update`; the dict path is kept
-  as the equivalence baseline, not as a second behavior.
+* **One retime path.**  Every routed delay -- the final :func:`analyze`
+  and each per-iteration :meth:`CriticalityTracker.update_flat` -- comes
+  from the same depth-levelized scan over a
+  :class:`~repro.par.forest.RouteForest`; ``tests/test_forest.py`` checks
+  it bit for bit against a test-local per-net tree walk.
 * **Criticalities are bounded.**  Every criticality lies in ``[0, 1]``;
   connections absent from the route set score ``0.0``, so a partially
   routed iteration can never over-prioritize missing nets.
@@ -36,7 +37,7 @@ Invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -48,10 +49,8 @@ from ..par.placement import Placement
 from .delays import (
     estimated_edge_delays,
     routed_edge_delays,
-    routed_wirecount_edge_delays,
     sink_rr_array,
     sink_rr_of_blocks,
-    structural_edge_delays,
 )
 from .graph import TimingGraph, build_timing_graph
 
@@ -61,8 +60,6 @@ __all__ = [
     "CriticalityTracker",
     "analyze",
     "scan_edge_criticality",
-    "structural_net_criticality",
-    "net_criticality_from_placement",
 ]
 
 _EPS = 1e-12
@@ -101,25 +98,6 @@ class TimingAnalysis:
     critical_path_ns: float
     logic_depth: int
     critical_path: List[CriticalPathElement] = field(default_factory=list)
-
-    def connection_criticality(self) -> Dict[Tuple[int, int], float]:
-        """Criticality per ``(net_id, sink_block)`` connection."""
-        g = self.graph
-        return {
-            (int(g.edge_net[i]), int(g.edge_dst[i])): float(self.edge_criticality[i])
-            for i in range(g.num_edges)
-        }
-
-    def net_criticality(self) -> Dict[int, float]:
-        """Per-net criticality: the maximum over the net's connections."""
-        out: Dict[int, float] = {}
-        g = self.graph
-        for i in range(g.num_edges):
-            nid = int(g.edge_net[i])
-            c = float(self.edge_criticality[i])
-            if c > out.get(nid, -1.0):
-                out[nid] = c
-        return out
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers: critical path, depth, worst slack, mean criticality."""
@@ -189,8 +167,8 @@ def _extract_critical_path(
     graph: TimingGraph,
     arrival: np.ndarray,
     edge_delay: np.ndarray,
-    edge_wires: Optional[np.ndarray],
-    edge_pins: Optional[np.ndarray],
+    edge_wires: np.ndarray,
+    edge_pins: np.ndarray,
     arch,
 ) -> List[CriticalPathElement]:
     """Walk the arrival argmax backwards, itemizing per element."""
@@ -229,25 +207,22 @@ def _extract_critical_path(
     lut_element(start)
     for i in path_edges:
         net_name = netlist.nets[int(graph.edge_net[i])].name
-        if edge_wires is not None:
-            w = int(edge_wires[i])
-            p = int(edge_pins[i])
-            wire_d = w * model["wire"]
-            switch_d = w * model["switch"]
-            pin_d = p * model["pin"]
-            # Keep the breakdown exact even when the edge delay came from an
-            # estimate whose element split differs: fold any residue into
-            # the wire entry.
-            residue = float(edge_delay[i]) - (wire_d + switch_d + pin_d)
-            if w:
-                elements.append(CriticalPathElement("wire", net_name, w, wire_d + residue))
-                elements.append(CriticalPathElement("switch", net_name, w, switch_d))
-            elif abs(residue) > _EPS:
-                elements.append(CriticalPathElement("wire", net_name, 0, residue))
-            if p:
-                elements.append(CriticalPathElement("pin", net_name, p, pin_d))
-        else:
-            elements.append(CriticalPathElement("wire", net_name, 1, float(edge_delay[i])))
+        w = int(edge_wires[i])
+        p = int(edge_pins[i])
+        wire_d = w * model["wire"]
+        switch_d = w * model["switch"]
+        pin_d = p * model["pin"]
+        # Keep the breakdown exact even when the edge delay came from an
+        # estimate whose element split differs: fold any residue into the
+        # wire entry.
+        residue = float(edge_delay[i]) - (wire_d + switch_d + pin_d)
+        if w:
+            elements.append(CriticalPathElement("wire", net_name, w, wire_d + residue))
+            elements.append(CriticalPathElement("switch", net_name, w, switch_d))
+        elif abs(residue) > _EPS:
+            elements.append(CriticalPathElement("wire", net_name, 0, residue))
+        if p:
+            elements.append(CriticalPathElement("pin", net_name, p, pin_d))
         lut_element(int(graph.edge_dst[i]))
     return elements
 
@@ -267,35 +242,29 @@ def analyze(
     netlist: PhysicalNetlist,
     routing,
     device: Device,
-    placement: Optional[Placement] = None,
+    placement: Placement,
 ) -> TimingAnalysis:
     """Run the STA engine over one placed-and-routed netlist.
 
     ``routing`` is a :class:`~repro.par.routing.RoutingResult` (or anything
-    with a ``routes`` dict), or ``None`` for a pre-route analysis.  With a
-    ``placement`` but no routing, connection delays are Manhattan-distance
-    estimates; with routing but no placement, the seed implementation's
-    per-net average-wires-per-sink model applies (exact per-sink tree walks
-    need the block -> SINK mapping only a placement provides); with
-    neither, every connection costs one wire hop -- the structural estimate
-    whose criticalities drive the timing-aware placer.
+    with ``routes`` and an optional ``forest``), or ``None`` for a
+    pre-route analysis whose connection delays are the placement's
+    Manhattan-distance estimates.  Routed delays come from the result's
+    flat route forest (see :func:`repro.timing.delays.routed_edge_delays`).
     """
     with span("timing.sta.analyze", nets=len(netlist.nets)):
         arch = device.arch
         graph = build_timing_graph(netlist, arch.lut_delay_ns)
-        edge_wires = edge_pins = None
-        routes = getattr(routing, "routes", None) if routing is not None else None
-        forest = getattr(routing, "forest", None) if routing is not None else None
-        if routes is not None and placement is not None:
-            edge_delay, edge_wires, edge_pins = routed_edge_delays(
-                graph, routes, placement, device, forest=forest
-            )
-        elif routes is not None:
-            edge_delay = routed_wirecount_edge_delays(graph, routes, device)
-        elif placement is not None:
+        if routing is None:
             edge_delay, edge_wires, edge_pins = estimated_edge_delays(graph, placement, arch)
         else:
-            edge_delay = structural_edge_delays(graph, arch)
+            edge_delay, edge_wires, edge_pins = routed_edge_delays(
+                graph,
+                routing.routes,
+                placement,
+                device,
+                forest=getattr(routing, "forest", None),
+            )
         arrival, required, slack, edge_slack, crit, dmax, depth = _scan(graph, edge_delay)
         path = _extract_critical_path(graph, arrival, edge_delay, edge_wires, edge_pins, arch)
         obs_metrics.add("sta.analyze_calls")
@@ -311,47 +280,6 @@ def analyze(
         logic_depth=depth,
         critical_path=path,
     )
-
-
-def _fold_edge_crit_to_nets(graph: TimingGraph, crit: np.ndarray) -> List[float]:
-    out = [0.0] * len(graph.netlist.nets)
-    for i in range(graph.num_edges):
-        nid = int(graph.edge_net[i])
-        c = float(crit[i])
-        if c > out[nid]:
-            out[nid] = c
-    return out
-
-
-def structural_net_criticality(netlist: PhysicalNetlist, arch) -> List[float]:
-    """Per-net criticality of the *unplaced* netlist (uniform wire delays).
-
-    This is what the timing-driven flow weights the placer with: before any
-    placement exists, a connection's criticality is purely structural --
-    how close the deepest path through it comes to the overall logic depth.
-    Returns one ``[0, 1]`` value per net (the max over its connections).
-    """
-    graph = build_timing_graph(netlist, arch.lut_delay_ns)
-    delays = structural_edge_delays(graph, arch)
-    *_, crit, _dmax, _depth = _scan(graph, delays)
-    return _fold_edge_crit_to_nets(graph, crit)
-
-
-def net_criticality_from_placement(
-    graph: TimingGraph, placement: Placement, arch, exponent: float = 1.0
-) -> Tuple[float, List[float]]:
-    """Estimated critical path and per-net criticalities of one placement.
-
-    Distance-based delay estimates (no routing); returns ``(critical_path_ns,
-    net_crits)``.  The timing-driven flow uses the estimate both to re-weight
-    the next annealing pass and to pick the best placement candidate before
-    spending a route on it.  ``exponent`` sharpens the criticalities.
-    """
-    delays = estimated_edge_delays(graph, placement, arch)[0]
-    *_, crit, dmax, _depth = _scan(graph, delays)
-    if exponent != 1.0:
-        crit = crit**exponent
-    return dmax, _fold_edge_crit_to_nets(graph, crit)
 
 
 class CriticalityTracker:
@@ -370,9 +298,7 @@ class CriticalityTracker:
     :class:`~repro.par.forest.RouteForest` with pure NumPy gathers and
     refreshes :attr:`conn_crit` -- one float64 per connection id, updated in
     place -- which the routing kernels index directly instead of probing a
-    ``Dict[(net, sink), float]`` per connection.  The dict-returning
-    :meth:`initial` / :meth:`update` remain as the legacy (PR 4) path and
-    the equivalence baseline.
+    ``Dict[(net, sink), float]`` per connection.
     """
 
     def __init__(
@@ -390,7 +316,6 @@ class CriticalityTracker:
         self.exponent = exponent
         arch = device.arch
         self.graph = build_timing_graph(netlist, arch.lut_delay_ns)
-        self._sink_rr = sink_rr_of_blocks(netlist, placement, device)
         self._estimate = estimated_edge_delays(self.graph, placement, arch)[0]
         self.critical_path_ns = 0.0
         self.updates = 0
@@ -401,7 +326,7 @@ class CriticalityTracker:
         g = self.graph
         rr = device.rr_graph
         self._num_rr = rr.num_nodes
-        self._sink_arr = sink_rr_array(g, self._sink_rr)
+        self._sink_arr = sink_rr_array(g, sink_rr_of_blocks(netlist, placement, device))
         edge_sink = self._sink_arr[g.edge_dst] if g.num_edges else np.zeros(0, dtype=np.int64)
         from ..par.forest import join_sorted
 
@@ -487,38 +412,3 @@ class CriticalityTracker:
         use = (ec >= 0) & ~np.isnan(d)
         edge_delay[use] = d[use]
         return edge_delay
-
-    # -- legacy dict path (PR 4; kept as the equivalence baseline) -----------
-
-    def _to_conn_dict(self, crit: np.ndarray) -> Dict[Tuple[int, int], float]:
-        if self.exponent != 1.0:
-            crit = crit**self.exponent
-        crit = np.minimum(crit, self.max_criticality)
-        g = self.graph
-        out: Dict[Tuple[int, int], float] = {}
-        for i in range(g.num_edges):
-            srr = self._sink_rr.get(int(g.edge_dst[i]))
-            if srr is None:
-                continue
-            key = (int(g.edge_net[i]), srr)
-            c = float(crit[i])
-            if c > out.get(key, -1.0):
-                out[key] = c
-        return out
-
-    def initial(self) -> Dict[Tuple[int, int], float]:
-        """Placement-estimate criticalities for the first iteration (dict)."""
-        *_, crit, dmax, _depth = _scan(self.graph, self._estimate)
-        self.critical_path_ns = dmax
-        return self._to_conn_dict(crit)
-
-    def update(self, routes) -> Dict[Tuple[int, int], float]:
-        """Re-time the route trees with the per-net dict walk (dict)."""
-        edge_delay, _w, _p = routed_edge_delays(
-            self.graph, routes, self.placement, self.device, fallback=self._estimate
-        )
-        *_, crit, dmax, _depth = _scan(self.graph, edge_delay)
-        self.critical_path_ns = dmax
-        self.updates += 1
-        obs_metrics.add("sta.retime_updates")
-        return self._to_conn_dict(crit)

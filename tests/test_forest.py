@@ -1,10 +1,11 @@
 """Tests for the flat route forest, flat STA hot path, and route caching.
 
 The contract under test: the flat :class:`repro.par.forest.RouteForest`
-must be a lossless, bit-identical replacement for the per-net dict walks
-of PR 4 -- same wirelength, same routed delays, same criticality vectors,
-on every routing kernel -- and must round-trip through the on-disk cache
-so hits re-hydrate routes instead of re-routing.
+must be a lossless representation of the route trees -- same wirelength,
+and routed delays and criticality vectors bit-identical to the test-local
+per-net tree walk below, on every routing kernel, converged or not -- and
+must round-trip through the on-disk cache so hits re-hydrate routes
+instead of re-routing.
 """
 
 import json
@@ -28,9 +29,9 @@ from repro.par.routing import (
 )
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional
-from repro.timing.delays import estimated_edge_delays, routed_edge_delays
+from repro.timing.delays import estimated_edge_delays, routed_edge_delays, sink_rr_of_blocks
 from repro.timing.graph import build_timing_graph
-from repro.timing.sta import CriticalityTracker, analyze
+from repro.timing.sta import CriticalityTracker, analyze, scan_edge_criticality
 
 KERNELS = ["astar", "fast"]
 
@@ -64,9 +65,97 @@ def routed_pe():
     return nl, arch, device, placement, results
 
 
+@pytest.fixture(scope="module")
+def unrouted_pe(routed_pe):
+    """The same placed design at W=1 after one PathFinder iteration: every
+    kernel returns a congested, non-converged result."""
+    nl, arch, _device, placement, _results = routed_pe
+    device = build_device(arch.with_channel_width(1))
+    results = {}
+    for kernel in KERNELS:
+        r = route(nl, placement, device, kernel=kernel, max_iterations=1)
+        assert not r.success, kernel
+        results[kernel] = r
+    return nl, arch, device, placement, results
+
+
 def wire_mask(device):
     t = device.rr_graph.node_type
     return (t == RRNodeType.CHANX) | (t == RRNodeType.CHANY)
+
+
+def oracle_edge_delays(graph, routes, placement, device):
+    """Test-local oracle: per-net dict walk of the route trees.
+
+    Every tree node accumulates ``(delay, wires, pins)`` from its parent,
+    walking the router's ``(target, path, attach)`` connection lists, or --
+    for plain node-list trees -- breadth-first over the RR adjacency
+    restricted to the tree.  Connections without a routed path keep the
+    placement estimate.
+    """
+    rr = device.rr_graph
+    delay_ns = rr.search_view().delay_ns
+    is_wire = wire_mask(device)
+    t = rr.node_type
+    is_pin = (t == RRNodeType.OPIN) | (t == RRNodeType.IPIN)
+
+    def step(acc, parent, n):
+        d, w, p = acc[parent]
+        acc[n] = (d + float(delay_ns[n]), w + int(is_wire[n]), p + int(is_pin[n]))
+
+    per_net = {}
+    for nid, r in routes.items():
+        if not r.nodes:
+            continue
+        acc = {r.nodes[0]: (0.0, 0, 0)}
+        if r.connections is not None:
+            for _target, path, attach in r.connections:
+                parent = attach
+                for n in reversed(path):
+                    step(acc, parent, n)
+                    parent = n
+        else:
+            tree, frontier = set(r.nodes), [r.nodes[0]]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in map(int, rr.fanouts(u)):
+                        if v in tree and v not in acc:
+                            step(acc, u, v)
+                            nxt.append(v)
+                frontier = nxt
+        per_net[int(nid)] = acc
+    delay = estimated_edge_delays(graph, placement, device.arch)[0]
+    wires = np.zeros(graph.num_edges, dtype=np.int32)
+    pins = np.zeros(graph.num_edges, dtype=np.int32)
+    sink_of = sink_rr_of_blocks(graph.netlist, placement, device)
+    for i in range(graph.num_edges):
+        acc = per_net.get(int(graph.edge_net[i]), {})
+        hit = acc.get(sink_of.get(int(graph.edge_dst[i])))
+        if hit is not None:
+            delay[i], wires[i], pins[i] = hit
+    return delay, wires, pins
+
+
+def oracle_conn_crit(tracker, edge_delay):
+    """Per-``(net, sink_rr)`` criticality: sharpened, capped, max-folded."""
+    graph = tracker.graph
+    sink_of = sink_rr_of_blocks(graph.netlist, tracker.placement, tracker.device)
+    _dmax, crit = scan_edge_criticality(graph, edge_delay)
+    crit = np.minimum(crit**tracker.exponent, tracker.max_criticality)
+    out = {}
+    for i in range(graph.num_edges):
+        srr = sink_of.get(int(graph.edge_dst[i]))
+        if srr is not None:
+            key = (int(graph.edge_net[i]), srr)
+            out[key] = max(out.get(key, 0.0), float(crit[i]))
+    return out
+
+
+def assert_conn_crit_matches(tracker, expected):
+    assert set(expected) <= set(tracker.conn_index)
+    for key, cid in tracker.conn_index.items():
+        assert tracker.conn_crit[cid] == expected.get(key, 0.0)
 
 
 class TestForestRoundTrip:
@@ -95,23 +184,23 @@ class TestForestRoundTrip:
             assert set(rebuilt[nid].nodes) == set(nr.nodes)
             assert rebuilt[nid].nodes[0] == nr.nodes[0]  # source first
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_routed_delays_bit_identical(self, routed_pe, kernel):
-        """Flat extraction == legacy dict walk, to the last bit."""
-        nl, arch, device, placement, results = routed_pe
+    @pytest.mark.parametrize(
+        "kernel, converged",
+        [("astar", True), ("fast", True), ("astar", False), ("fast", False)],
+        ids=["astar", "fast", "astar-unrouted", "fast-unrouted"],
+    )
+    def test_routed_delays_bit_identical(self, request, kernel, converged):
+        """Flat extraction == the tree-walk oracle, to the last bit, with
+        the result's own forest and with one flattened on demand."""
+        fixture = "routed_pe" if converged else "unrouted_pe"
+        nl, arch, device, placement, results = request.getfixturevalue(fixture)
         r = results[kernel]
-        forest = r.forest or build_route_forest(r.routes, device.rr_graph)
         graph = build_timing_graph(nl, arch.lut_delay_ns)
-        fb = estimated_edge_delays(graph, placement, arch)[0]
-        d_dict, w_dict, p_dict = routed_edge_delays(
-            graph, r.routes, placement, device, fallback=fb
-        )
-        d_flat, w_flat, p_flat = routed_edge_delays(
-            graph, r.routes, placement, device, fallback=fb, forest=forest
-        )
-        assert np.array_equal(d_dict, d_flat)
-        assert np.array_equal(w_dict, w_flat)
-        assert np.array_equal(p_dict, p_flat)
+        expected = oracle_edge_delays(graph, r.routes, placement, device)
+        for forest in {id(f): f for f in (r.forest, None)}.values():
+            got = routed_edge_delays(graph, r.routes, placement, device, forest=forest)
+            for want, have in zip(expected, got):
+                assert np.array_equal(want, have)
 
     def test_analysis_identical_with_and_without_forest(self, routed_pe):
         """analyze() reports the same critical path through either path."""
@@ -127,6 +216,21 @@ class TestForestRoundTrip:
         assert a_flat.critical_path_ns == a_dict.critical_path_ns
         assert np.array_equal(a_flat.edge_delay, a_dict.edge_delay)
         assert np.array_equal(a_flat.edge_criticality, a_dict.edge_criticality)
+
+    def test_analysis_of_unrouted_astar_result_matches_oracle(self, unrouted_pe):
+        """A non-converged astar result carries no forest: analyze()
+        flattens its trees on demand and still times them exactly."""
+        nl, arch, device, placement, results = unrouted_pe
+        r = results["astar"]
+        assert r.forest is None
+        analysis = analyze(nl, r, device, placement=placement)
+        graph = build_timing_graph(nl, arch.lut_delay_ns)
+        expected = oracle_edge_delays(graph, r.routes, placement, device)[0]
+        assert np.array_equal(analysis.edge_delay, expected)
+        total = sum(e.delay_ns for e in analysis.critical_path)
+        assert total == pytest.approx(analysis.critical_path_ns, rel=1e-9)
+        luts = sum(e.count for e in analysis.critical_path if e.kind == "lut")
+        assert luts == analysis.logic_depth
 
     def test_payload_round_trip_through_json(self, routed_pe):
         _nl, _arch, device, _placement, results = routed_pe
@@ -172,27 +276,23 @@ class TestForestRoundTrip:
 
 class TestFlatCriticality:
     def test_tracker_flat_matches_dict(self, routed_pe):
-        """conn_crit[conn_index[k]] == legacy dict[k], bit for bit."""
-        nl, _arch, device, placement, results = routed_pe
+        """conn_crit[conn_index[k]] == the oracle's dict fold at k, bit for
+        bit; connections the fold never saw score zero."""
+        nl, arch, device, placement, results = routed_pe
         r = results["astar"]
         tracker = CriticalityTracker(nl, placement, device, exponent=2.0)
-        flat = tracker.update_flat(r.routes).copy()
-        legacy = tracker.update(r.routes)
-        assert set(legacy) <= set(tracker.conn_index)
-        for key, value in legacy.items():
-            assert flat[tracker.conn_index[key]] == value
-        # Keys the dict never saw must be zero-criticality connections.
-        for key, cid in tracker.conn_index.items():
-            if key not in legacy:
-                assert flat[cid] == 0.0
+        tracker.update_flat(r.routes)
+        graph = build_timing_graph(nl, arch.lut_delay_ns)
+        delays = oracle_edge_delays(graph, r.routes, placement, device)[0]
+        assert_conn_crit_matches(tracker, oracle_conn_crit(tracker, delays))
 
     def test_tracker_initial_flat_matches_dict(self, routed_pe):
-        nl, _arch, device, placement, _results = routed_pe
+        nl, arch, device, placement, _results = routed_pe
         tracker = CriticalityTracker(nl, placement, device)
-        flat = tracker.initial_flat().copy()
-        legacy = tracker.initial()
-        for key, value in legacy.items():
-            assert flat[tracker.conn_index[key]] == value
+        tracker.initial_flat()
+        graph = build_timing_graph(nl, arch.lut_delay_ns)
+        estimate = estimated_edge_delays(graph, placement, arch)[0]
+        assert_conn_crit_matches(tracker, oracle_conn_crit(tracker, estimate))
 
     def test_conn_crit_updates_in_place(self, routed_pe):
         nl, _arch, device, placement, results = routed_pe
@@ -329,11 +429,6 @@ class TestIncrementalPlacer:
         tc = TimingCost([0], [1], lambda x, y: [0.5])
         with pytest.raises(ValueError, match="batched"):
             place(nl, arch, kernel="reference", timing=tc)
-        with pytest.raises(ValueError, match="exclusive"):
-            place(
-                nl, arch, kernel="batched", timing=tc,
-                net_weights=[1.0] * len(nl.nets),
-            )
 
     def test_timing_cost_validates_conn_arrays(self):
         with pytest.raises(ValueError, match="equal length"):

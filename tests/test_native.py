@@ -291,21 +291,6 @@ class TestAnnealerBitIdentity:
                 py = place(nl, arch, seed=seed, effort=0.3, kernel="batched")
             self._identical(nat, py)
 
-    def test_weighted_trajectories_identical(self, workload):
-        nl, arch, _device, _ = workload
-        weights = [1.0 + 2.0 * (i % 3) for i in range(len(nl.nets))]
-        for seed in BENCH_SEEDS[:2]:
-            nat = place(
-                nl, arch, seed=seed, effort=0.3, kernel="batched",
-                net_weights=weights,
-            )
-            with python_twins():
-                py = place(
-                    nl, arch, seed=seed, effort=0.3, kernel="batched",
-                    net_weights=weights,
-                )
-            self._identical(nat, py)
-
     def test_timing_trajectories_identical(self, workload):
         """The retime callback fires mid-loop from C; trajectories (and the
         exact-int timing costs) must still match the Python twin."""

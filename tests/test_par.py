@@ -9,14 +9,19 @@ from repro.fpga.architecture import FPGAArchitecture, auto_size
 from repro.fpga.device import build_device
 from repro.netlist.hdl import Design
 from repro.par.cache import PaRCache
-from repro.par.flow import best_placement, place_and_route, placement_sweep
+from repro.par.flow import (
+    best_placement,
+    place_and_route,
+    placement_sweep,
+    report_from_analysis,
+)
 from repro.par.metrics import channel_occupancy, minimum_channel_width
 from repro.par.netlist import PhysicalNetlist, from_mapped_network
 from repro.par.placement import hpwl, place, random_placement
 from repro.par.routing import route
-from repro.par.timing import analyze_timing
 from repro.synth.optimize import optimize
 from repro.techmap import map_conventional, map_parameterized
+from repro.timing import analyze
 
 
 def adder_network(width=4, param=False):
@@ -473,9 +478,12 @@ class TestTimingAndFlow:
         nl = from_mapped_network(net)
         arch = auto_size(nl.num_logic_blocks(), nl.num_io_blocks())
         device = build_device(arch)
-        report = analyze_timing(net, nl, None, device)
+        placement = place(nl, arch, seed=0, effort=0.4).placement
+        analysis = analyze(nl, None, device, placement=placement)
+        report = report_from_analysis(analysis, net, None, device)
         assert report.logic_depth == net.depth()
         assert report.critical_path_ns > 0
+        assert report.mean_net_wirelength == report.max_net_wirelength == 0
 
     def test_timing_on_routed_result(self):
         net = adder_network(5)
@@ -485,7 +493,8 @@ class TestTimingAndFlow:
         placement = place(nl, arch, seed=0, effort=0.4).placement
         routing = route(nl, placement, device)
         assert routing.success
-        report = analyze_timing(net, nl, routing, device)
+        analysis = analyze(nl, routing, device, placement=placement)
+        report = report_from_analysis(analysis, net, routing, device)
         assert report.logic_depth == net.depth()
         assert report.critical_path_ns > 0
         # Routed wire statistics must reflect the actual route trees.
